@@ -171,6 +171,7 @@ type Catalog struct {
 	mu         sync.Mutex
 	entries    map[string]*Info
 	mapped     map[string]*Loaded // open snapshots keyed by SHA; released at Close
+	condemned  []*Loaded          // mappings the sweep disowned; released at Close
 	publishing map[string]int     // blob publishes in flight, not yet manifest-referenced
 	dirty      bool               // in-memory state (incl. recency) ahead of manifest.json
 	now        func() time.Time
@@ -526,6 +527,9 @@ func (c *Catalog) IngestGraph(name string, g *graph.Graph, format, source string
 	if !nameRE.MatchString(name) {
 		return Info{}, &BadInputError{Err: fmt.Errorf("dataset: invalid name %q (want %s)", name, nameRE)}
 	}
+	if g.NumNodes() == 0 {
+		return Info{}, &BadInputError{Err: fmt.Errorf("dataset: %q has no nodes (empty upload?)", name)}
+	}
 	// The staging name must be unique per call, not per name: two
 	// concurrent ingests of the same name writing one file would
 	// interleave into a snapshot whose payload no longer matches its
@@ -845,7 +849,11 @@ func (c *Catalog) TotalBytes() int64 {
 }
 
 // Remove drops name from the catalog and unlinks its snapshot when no
-// other name shares it. Graphs already loaded from it remain valid.
+// other name shares it. A graph already loaded from it remains valid
+// memory until Close (an in-flight run finishes safely), but the store
+// stops serving it: a resident dataset graph is valid only while the
+// catalog's head for its name equals its SHA, so the next query for name
+// answers not-found — or for whatever graph is ingested as name next.
 func (c *Catalog) Remove(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -998,11 +1006,14 @@ func (c *Catalog) Close() error {
 		err = c.saveManifestLocked()
 	}
 	for _, ld := range c.mapped {
+		c.condemned = append(c.condemned, ld)
+	}
+	for _, ld := range c.condemned {
 		if cerr := ld.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
-	c.mapped = map[string]*Loaded{}
+	c.mapped, c.condemned = map[string]*Loaded{}, nil
 	unlockDir(c.lock)
 	c.lock = nil
 	return err

@@ -150,6 +150,14 @@ func TestIngestErrorClassification(t *testing.T) {
 	if _, err := c.Ingest("x", strings.NewReader("not a graph at all ???\n"), FormatAuto, ""); !errors.As(err, &bi) {
 		t.Fatalf("garbage body: %v, want BadInputError", err)
 	}
+	for _, empty := range []string{"", "# only a comment\n"} {
+		if _, err := c.Ingest("x", strings.NewReader(empty), FormatAuto, ""); !errors.As(err, &bi) {
+			t.Fatalf("zero-node body %q: %v, want BadInputError", empty, err)
+		}
+	}
+	if len(c.List()) != 0 {
+		t.Fatalf("rejected ingests left entries behind: %v", c.names())
+	}
 	// Budget exhaustion is a capacity condition, NOT bad input.
 	_, err = c.Ingest("x", strings.NewReader("0 1 1\n"), FormatAuto, "")
 	if !errors.Is(err, ErrBudgetExceeded) {

@@ -54,8 +54,9 @@ func (c *Catalog) SweepStatus() SweepStatus {
 // and quarantines failures exactly like boot-time recovery does: the
 // local blob copy moves to quarantine/, every name referencing it drops
 // from the manifest, and the manifest is republished. The daemon keeps
-// serving throughout; graphs already faulted in stay valid (the store's
-// registry and the mmap both survive the unlink).
+// serving throughout; a graph already faulted in stays valid memory (the
+// mmap survives the unlink), but the store stops resolving the dropped
+// name to it.
 //
 // Shared snapshots are hashed once per unique content address, and a
 // backend that is unreachable (remote tier down) marks entries skipped
@@ -175,6 +176,14 @@ func (c *Catalog) condemn(sha string, verr error) int {
 			continue
 		}
 		delete(c.entries, name)
+		// A later load of this head — a re-ingest, or re-adoption from a
+		// healthy shared tier — must read fresh bytes, not the mapping
+		// whose blob just failed verification. Graphs already served
+		// from it stay valid until Close.
+		if ld, ok := c.mapped[in.SHA256]; ok {
+			delete(c.mapped, in.SHA256)
+			c.condemned = append(c.condemned, ld)
+		}
 		dropped++
 		c.logf("sweep: quarantined dataset %q (%s): %v", name, ShortSHA(sha), verr)
 	}

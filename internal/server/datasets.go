@@ -22,13 +22,15 @@ import (
 //	       byte totals, and integrity-sweep telemetry
 //	GET    /v2/datasets/{name}        one dataset's catalog record
 //	DELETE /v2/datasets/{name}        drop the record (and the snapshot
-//	       file once unreferenced); already-loaded graphs stay usable
+//	       file once unreferenced); the name stops resolving at once,
+//	       runs already reading the graph finish safely
 //	POST   /v2/datasets/{name}/load   fault the dataset into the
 //	       in-memory registry now (queries do this lazily anyway)
 //	POST   /v2/datasets/{name}/append stream an edge delta ("+ u v w" /
 //	       "- u v" lines, optionally gzip-wrapped) onto the dataset's
-//	       lineage; the head SHA moves, stale caches are invalidated,
-//	       and decompositions are maintained per the churn policy
+//	       lineage; the head SHA moves, the superseded head's cache
+//	       slots are freed, and decompositions are maintained per the
+//	       churn policy
 //	POST   /v2/datasets/{name}/compact fold the delta chain into a
 //	       fresh snapshot (the head — and every cache key — survives)
 //
@@ -188,11 +190,11 @@ type AppendResponse struct {
 // lineage. The body is the text delta format (gzip-sniffed like
 // ingest), decoded straight into a frame; malformed records are 400,
 // over-cap bodies 413, budget overflows 507 — the same classification
-// as ingest. On a real head movement the store invalidates every cache
-// entry keyed on the superseded head and maintains retained
-// decompositions before the response is written, so a client that
-// appends and immediately queries can never see a stale result from
-// this node.
+// as ingest. A client that appends and immediately queries can never
+// see a stale result from this node: the store resolves every query's
+// name to the catalog's head. ApplyDelta is told about a real head
+// movement only so it can free the superseded head's cache slots and
+// maintain retained decompositions before the response is written.
 func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 	cat, ok := s.requireDatasets(w)
 	if !ok {

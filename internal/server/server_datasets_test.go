@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -196,7 +197,8 @@ func TestDatasetEndpointsLifecycle(t *testing.T) {
 	if code := doJSON(t, "POST", ts.URL+"/v2/datasets/m/load", nil, &ginfo); code != http.StatusOK {
 		t.Fatalf("load status %d", code)
 	}
-	if _, _, ok := st.Graph("m"); !ok {
+	loaded, _, ok := st.Graph("m")
+	if !ok {
 		t.Fatal("load endpoint did not register the graph")
 	}
 
@@ -206,10 +208,88 @@ func TestDatasetEndpointsLifecycle(t *testing.T) {
 	if code := doJSON(t, "GET", ts.URL+"/v2/datasets/m", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("deleted dataset still listed: %d", code)
 	}
-	// The already-loaded graph keeps serving (unlink-while-mapped safety).
-	var resp DiameterResponse
-	if code := doJSON(t, "POST", ts.URL+"/v1/diameter", map[string]any{"graph": "m"}, &resp); code != http.StatusOK {
-		t.Fatalf("query after dataset delete: status %d", code)
+	// A deleted dataset is no longer served...
+	if code := doJSON(t, "POST", ts.URL+"/v1/diameter", map[string]any{"graph": "m"}, nil); code != http.StatusNotFound {
+		t.Fatalf("query after dataset delete: status %d, want 404", code)
+	}
+	// ...but a graph obtained before the delete stays readable end to end
+	// (unlink-while-mapped safety): a run in flight finishes on it.
+	if err := loaded.ValidateCSR(); err != nil || loaded.NumNodes() != 100 {
+		t.Fatalf("graph mapped before the delete: %d nodes, %v", loaded.NumNodes(), err)
+	}
+}
+
+// TestRenamedHeadIsNeverServedStale covers the two name movers the store
+// is never told about: a dataset deleted and a different graph ingested
+// under its name, and a plain re-ingest over the name. Either way the
+// next query must be computed, on the new graph.
+func TestRenamedHeadIsNeverServedStale(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		delete bool
+	}{{"DeleteThenIngest", true}, {"ReingestOver", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, _, _ := newDatasetServer(t, t.TempDir())
+			query := map[string]any{"graph": "m", "seed": 3}
+			upload := func(spec string) DiameterResponse {
+				t.Helper()
+				g, err := gen.FromSpec(spec, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var el bytes.Buffer
+				if err := gio.WriteEdgeList(&el, g); err != nil {
+					t.Fatal(err)
+				}
+				if code := uploadBody(t, ts.URL+"/v2/datasets?name=m", el.Bytes(), nil); code != http.StatusCreated {
+					t.Fatalf("ingest %s: status %d", spec, code)
+				}
+				// The in-process answer on the graph just uploaded.
+				oracle := store.New(store.Config{})
+				defer oracle.Close()
+				if _, err := oracle.AddGraph("m", g, spec); err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := oracle.Diameter(context.Background(), "m", store.Params{Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return DiameterResponse{DiameterResult: want}
+			}
+
+			upload("mesh:10")
+			for i := 0; i < 2; i++ { // compute, then make sure it is cached
+				if code := doJSON(t, "POST", ts.URL+"/v1/diameter", query, nil); code != http.StatusOK {
+					t.Fatalf("warm-up query: status %d", code)
+				}
+			}
+			if tc.delete {
+				if code := doJSON(t, "DELETE", ts.URL+"/v2/datasets/m", nil, nil); code != http.StatusOK {
+					t.Fatalf("delete status %d", code)
+				}
+			}
+			want := upload("mesh:14")
+
+			var got DiameterResponse
+			if code := doJSON(t, "POST", ts.URL+"/v1/diameter", query, &got); code != http.StatusOK {
+				t.Fatalf("query after the name moved: status %d", code)
+			}
+			if got.Cached {
+				t.Fatal("first query on the new graph claims cached")
+			}
+			if fieldsOf(got) != fieldsOf(want) {
+				t.Fatalf("answer is not the new graph's:\n got  %+v\n want %+v", fieldsOf(got), fieldsOf(want))
+			}
+			var list struct {
+				Graphs []store.GraphInfo `json:"graphs"`
+			}
+			if code := doJSON(t, "GET", ts.URL+"/v1/graphs", nil, &list); code != http.StatusOK {
+				t.Fatalf("list graphs: status %d", code)
+			}
+			if len(list.Graphs) != 1 || list.Graphs[0].NumNodes != 196 {
+				t.Fatalf("/v1/graphs after the name moved: %+v, want one 196-node graph", list.Graphs)
+			}
+		})
 	}
 }
 
@@ -266,6 +346,13 @@ func TestIngestErrorStatusClassification(t *testing.T) {
 		// Bad dataset name.
 		if code := uploadBody(t, ts.URL+"/v2/datasets?name=..evil", el.Bytes(), nil); code != http.StatusBadRequest {
 			t.Fatalf("bad name status %d, want 400", code)
+		}
+		// An empty body is not a zero-node dataset, and creates nothing.
+		if code := uploadBody(t, ts.URL+"/v2/datasets?name=x", nil, nil); code != http.StatusBadRequest {
+			t.Fatalf("empty body status %d, want 400", code)
+		}
+		if code := doJSON(t, "GET", ts.URL+"/v2/datasets/x", nil, nil); code != http.StatusNotFound {
+			t.Fatalf("rejected ingests created dataset x: status %d", code)
 		}
 	})
 

@@ -406,11 +406,10 @@ func TestFleetCacheEndpointsAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sha, ok := owner.st.DatasetSHA("m")
+	fkey, ok := owner.st.FleetKeyFor("m", "diameter", store.Params{Seed: 4})
 	if !ok {
-		t.Fatal("dataset-backed graph has no sha")
+		t.Fatal("dataset-backed graph has no fleet key")
 	}
-	fkey := store.FleetKey(sha, "diameter", store.Params{Seed: 4})
 
 	// The computed result answers peer probes.
 	resp, err := http.Get(owner.url + "/v2/cache/" + url.PathEscape(fkey))

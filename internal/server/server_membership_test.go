@@ -258,11 +258,10 @@ func TestReplicaLocalServing(t *testing.T) {
 	}
 	_, warm, _ := rawPost(t, owner.url+"/v1/diameter", query, nil)
 
-	sha, ok := owner.st.DatasetSHA("rep")
+	fkey, ok := owner.st.FleetKeyFor("rep", "diameter", store.Params{Seed: 11})
 	if !ok {
-		t.Fatal("dataset-backed graph has no sha")
+		t.Fatal("dataset-backed graph has no fleet key")
 	}
-	fkey := store.FleetKey(sha, "diameter", store.Params{Seed: 11})
 
 	// The k=2 push lands on the cache key's preference chain; wait for it
 	// to arrive at a non-owner member (the replica under test).

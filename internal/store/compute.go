@@ -14,7 +14,7 @@ import (
 )
 
 // Params is the full algorithm parameter set of a decomposition or diameter
-// query. It is the cache key (together with the registered graph), so every
+// query. It is the cache key (together with the graph's identity), so every
 // field that can change the output — or the metered cost — participates in
 // the canonical encoding. The zero value selects the library defaults.
 type Params struct {
@@ -159,7 +159,9 @@ func (s *Store) DecomposeObserved(ctx context.Context, graphName string, p Param
 	if err != nil {
 		return DecomposeResult{}, false, err
 	}
-	return val.(DecomposeResult), cached, nil
+	res := val.(DecomposeResult)
+	res.Graph = graphName // results are shared by content; the name is the asker's
+	return res, cached, nil
 }
 
 func (s *Store) runDecompose(ctx context.Context, name string, g *graph.Graph, p Params, progress core.ProgressFunc) (DecomposeResult, error) {
@@ -207,7 +209,7 @@ func (s *Store) decomposeWith(ctx context.Context, name string, g *graph.Graph, 
 	}
 	res.MinCluster, res.MaxCluster = clusterSizeExtremes(cl)
 	s.addCost(cl.Metrics)
-	s.retainClustering(name, p, cl)
+	s.retainClustering(name, g, p, cl)
 	return res, nil
 }
 
@@ -236,7 +238,9 @@ func (s *Store) DiameterObserved(ctx context.Context, graphName string, p Params
 	if err != nil {
 		return DiameterResult{}, false, err
 	}
-	return val.(DiameterResult), cached, nil
+	res := val.(DiameterResult)
+	res.Graph = graphName // results are shared by content; the name is the asker's
+	return res, cached, nil
 }
 
 func (s *Store) runDiameter(ctx context.Context, name string, g *graph.Graph, p Params, progress core.ProgressFunc) (DiameterResult, error) {

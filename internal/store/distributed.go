@@ -227,14 +227,9 @@ func (s *Store) runDistributedJob(ctx context.Context, req DistJobRequest) (any,
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	g, _, ok := s.Graph(req.Graph)
-	if !ok {
-		if err := s.faultIn(ctx, req.Graph); err != nil {
-			return nil, err
-		}
-		if g, _, ok = s.Graph(req.Graph); !ok {
-			return nil, &NotFoundError{Name: req.Graph}
-		}
+	ge, err := s.faultIn(ctx, req.Graph)
+	if err != nil {
+		return nil, err
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -262,7 +257,7 @@ func (s *Store) runDistributedJob(ctx context.Context, req DistJobRequest) (any,
 	if err != nil {
 		return nil, err
 	}
-	val, err := s.runOpWith(ctx, req, g, e)
+	val, err := s.runOpWith(ctx, req, ge.g, e)
 	if err != nil {
 		return nil, err
 	}

@@ -45,35 +45,30 @@ type FleetEntry struct {
 	Body []byte
 }
 
-// FleetEntries returns up to max fleet-indexed cache entries in LRU
+// FleetEntries returns up to max content-addressed cache entries in LRU
 // order, hottest first — the set worth pre-warming a successor with.
 func (s *Store) FleetEntries(max int) []FleetEntry {
 	if max <= 0 {
 		return nil
 	}
-	type slot struct {
-		fkey string
-		val  any
-	}
 	s.mu.Lock()
-	slots := make([]slot, 0, max)
+	slots := make([]entry, 0, max)
 	for el := s.lru.Front(); el != nil && len(slots) < max; el = el.Next() {
-		ent := el.Value.(*entry)
-		if ent.fkey != "" {
-			slots = append(slots, slot{fkey: ent.fkey, val: ent.val})
+		if ent := el.Value.(*entry); contentAddressed(ent.key) {
+			slots = append(slots, *ent)
 		}
 	}
 	s.mu.Unlock()
 	// Marshal outside the lock: bodies can be large and marshaling is
-	// pure (values are never mutated after insert).
+	// pure (result values are immutable once stored).
 	out := make([]FleetEntry, 0, len(slots))
 	for _, sl := range slots {
 		if body, isRaw := sl.val.([]byte); isRaw {
-			out = append(out, FleetEntry{Key: sl.fkey, Body: body})
+			out = append(out, FleetEntry{Key: sl.key, Body: body})
 			continue
 		}
 		if body, err := json.Marshal(sl.val); err == nil {
-			out = append(out, FleetEntry{Key: sl.fkey, Body: body})
+			out = append(out, FleetEntry{Key: sl.key, Body: body})
 		}
 	}
 	return out
@@ -104,37 +99,14 @@ func (s *Store) PrewarmSuccessors(max int) int {
 // hit, and otherwise forwards to the owner so computes stay single-homed
 // and cross-node singleflight intact. A pushed entry counts even before
 // the graph is ever loaded here — pushes arrive by content address, not
-// by residency — so the content address falls back to the catalog.
+// by residency.
 func (s *Store) CachedLocally(graphName, op string, p Params) bool {
-	sha, ok := s.contentAddr(graphName)
+	fkey, ok := s.FleetKeyFor(graphName, op, p)
 	if !ok {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok = s.fleetIdx[FleetKey(sha, op, p)]
+	_, ok = s.results[fkey]
 	return ok
-}
-
-// contentAddr resolves a graph name to its dataset content address:
-// from the resident registration when loaded, else from the local
-// catalog manifest (cheap — no snapshot load). Reports false for
-// memory-only graphs and unknown names.
-func (s *Store) contentAddr(graphName string) (string, bool) {
-	s.mu.Lock()
-	if ge, ok := s.graphs[graphName]; ok {
-		sha := ge.sha
-		s.mu.Unlock()
-		return sha, sha != ""
-	}
-	cat := s.cfg.Catalog
-	s.mu.Unlock()
-	if cat == nil {
-		return "", false
-	}
-	in, err := cat.Info(graphName)
-	if err != nil || in.SHA256 == "" {
-		return "", false
-	}
-	return in.SHA256, true
 }

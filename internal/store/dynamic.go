@@ -8,12 +8,14 @@ import (
 	"graphdiam/internal/graph"
 )
 
-// Dynamic-graph maintenance: when a dataset's lineage head moves (an
-// append or a remote adoption of one), every cached artifact keyed on
-// the superseded head is stale — the local result cache, the raw fleet
-// pushes indexed under the old content address, and the registered
-// graph itself. ApplyDelta is the single seam the server calls after
-// the catalog commits an append.
+// Dynamic-graph maintenance. When a dataset's lineage head moves, no
+// query can be answered for the superseded head any more: every query
+// resolves its name through the catalog (see resolve), results are keyed
+// by head SHA, and a resident graph whose SHA is not the head is dropped
+// on sight. That holds whether or not anyone calls this file. ApplyDelta
+// is what the server calls after the catalog commits an append to do the
+// two things resolve does not: free the superseded head's cache slots at
+// once, and decide whether to warm the new head's before the next query.
 //
 // Decompositions are maintained incrementally in the scheduling sense,
 // not the splicing sense: the paper's cluster-growing algorithm couples
@@ -38,7 +40,7 @@ type MaintenanceResult struct {
 	Mode string `json:"mode"`
 	// Recomputed counts decompositions re-run eagerly.
 	Recomputed int `json:"recomputed"`
-	// Invalidated counts cache entries dropped (local + fleet-raw).
+	// Invalidated counts cache entries dropped (computed here or pushed).
 	Invalidated int `json:"invalidated"`
 	// TouchedClusters/TotalClusters measure the delta's churn against
 	// the retained clustering with the highest touched fraction.
@@ -58,20 +60,17 @@ type retainedClustering struct {
 const maxRetained = 16
 
 // retainClustering remembers the clustering behind a just-completed
-// decomposition, keyed by the graph's content address + canonical
+// decomposition of g, keyed by the graph's content address + canonical
 // params. Ad-hoc (non-dataset) graphs have no fleet-stable identity and
-// are not retained.
-func (s *Store) retainClustering(name string, p Params, cl *core.Clustering) {
-	if cl == nil {
+// are not retained; nor is a run whose graph is no longer what name means.
+func (s *Store) retainClustering(name string, g *graph.Graph, p Params, cl *core.Clustering) {
+	ge, _ := s.resolve(name)
+	if cl == nil || ge == nil || ge.g != g || !contentAddressed(ge.id) {
 		return
 	}
+	k := ge.id + "|" + p.canonical("decompose")
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ge, ok := s.graphs[name]
-	if !ok || ge.sha == "" {
-		return
-	}
-	k := ge.sha + "|" + p.canonical("decompose")
 	if _, exists := s.retained[k]; !exists {
 		s.retainedOrder = append(s.retainedOrder, k)
 		for len(s.retainedOrder) > maxRetained {
@@ -82,14 +81,13 @@ func (s *Store) retainClustering(name string, p Params, cl *core.Clustering) {
 	s.retained[k] = &retainedClustering{params: p, cl: cl}
 }
 
-// ApplyDelta reconciles the store with a dataset whose lineage head
-// moved from prevSHA to newSHA. touched is the distinct vertex set the
-// delta named. It drops every cache entry keyed on the superseded head
-// (so no query can ever see a stale result), deregisters the old graph
-// (the next query faults the new materialization in from the catalog),
-// and maintains retained decompositions per the churn policy above.
-// Safe to call with prevSHA == newSHA (a no-op append): nothing is
-// invalidated.
+// ApplyDelta tells the store that a dataset's lineage head moved from
+// prevSHA to newSHA. touched is the distinct vertex set the delta named.
+// It sweeps every cache entry keyed on the superseded head and maintains
+// retained decompositions per the churn policy above; the superseded
+// resident graph itself goes when the next query (the eager recompute
+// included) resolves the name. Safe to call with prevSHA == newSHA (a
+// no-op append): nothing is invalidated.
 func (s *Store) ApplyDelta(ctx context.Context, name, prevSHA, newSHA string, touched []graph.NodeID) MaintenanceResult {
 	res := MaintenanceResult{Mode: "none"}
 	if prevSHA == newSHA || prevSHA == "" {
@@ -98,28 +96,7 @@ func (s *Store) ApplyDelta(ctx context.Context, name, prevSHA, newSHA string, to
 	prefix := prevSHA + "|"
 
 	s.mu.Lock()
-	// Deregister the superseded graph and purge its typed results.
-	if ge, ok := s.graphs[name]; ok && ge.sha == prevSHA {
-		for el := s.lru.Front(); el != nil; {
-			next := el.Next()
-			if ent := el.Value.(*entry); ent.key.graphID == ge.id {
-				s.removeEntryLocked(el, ent)
-				res.Invalidated++
-			}
-			el = next
-		}
-		delete(s.graphs, name)
-	}
-	// Raw fleet pushes for the old head, regardless of which graph id
-	// (if any) they rode in under.
-	for el := s.lru.Front(); el != nil; {
-		next := el.Next()
-		if ent := el.Value.(*entry); ent.fkey != "" && strings.HasPrefix(ent.fkey, prefix) {
-			s.removeEntryLocked(el, ent)
-			res.Invalidated++
-		}
-		el = next
-	}
+	res.Invalidated = s.purgeLocked(prefix)
 	// Pop the old head's retained decompositions for churn measurement.
 	var stale []*retainedClustering
 	for i := 0; i < len(s.retainedOrder); {

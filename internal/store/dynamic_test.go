@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphdiam/internal/dataset"
@@ -256,4 +258,133 @@ func TestDeltaRecomputeMetrics(t *testing.T) {
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("exposition missing %q", want)
 	}
+}
+
+// TestHeadMoveNeedsNoApplyDelta: the catalog alone owns name → head, so an
+// append the store is never told about is still never answered stale.
+func TestHeadMoveNeedsNoApplyDelta(t *testing.T) {
+	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
+	s := New(Config{Catalog: cat})
+	defer s.Close()
+	ctx := context.Background()
+	p := Params{Seed: 2}
+	before, _, err := s.Diameter(ctx, "d", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
+		Ins: []dataset.DeltaIns{{U: 0, V: 143, W: 0.5}},
+	}) // and no ApplyDelta
+
+	if fkey, ok := s.FleetKeyFor("d", "diameter", p); !ok || fkey != FleetKey(res.Info.SHA256, "diameter", p) {
+		t.Fatalf("fleet key %q (ok=%v) does not name the new head %s", fkey, ok, res.Info.SHA256)
+	}
+	after, cached, err := s.Diameter(ctx, "d", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatal("first query on the new head claims cached")
+	}
+	fresh := New(Config{Catalog: cat})
+	defer fresh.Close()
+	want, _, err := fresh.Diameter(ctx, "d", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before.WallMillis, after.WallMillis, want.WallMillis = 0, 0, 0
+	if after != want || after == before {
+		t.Fatalf("answer after an untold append:\n got    %+v\n want   %+v\n before %+v", after, want, before)
+	}
+}
+
+// TestQueriesRaceAppends: readers query while one writer appends in a
+// loop. A reply to a query that started after an append was acked must be
+// for that head or a later one, never an earlier one, and the result
+// cache never outgrows its budget however many heads pass through it.
+func TestQueriesRaceAppends(t *testing.T) {
+	const (
+		heads      = 6
+		readers    = 4
+		maxEntries = 3
+	)
+	cat := newCatalogWith(t, map[string]string{"d": "mesh:10"})
+	s := New(Config{Catalog: cat, MaxEntries: maxEntries, ChurnThreshold: 1.0})
+	defer s.Close()
+	ctx := context.Background()
+	p := Params{Seed: 9}
+	delta := func(i int) *dataset.EdgeDelta { // each one shortens the mesh further
+		return &dataset.EdgeDelta{Ins: []dataset.DeltaIns{{U: 0, V: uint32(99 - 11*i), W: 0.25}}}
+	}
+
+	// The oracle: head i's answer from a store that has only ever seen
+	// head i, on a catalog of its own.
+	want := make([]DiameterResult, heads)
+	oracleCat := newCatalogWith(t, map[string]string{"d": "mesh:10"})
+	for i := range want {
+		if i > 0 {
+			appendTo(t, oracleCat, "d", delta(i))
+		}
+		oracle := New(Config{Catalog: oracleCat})
+		res, _, err := oracle.Diameter(ctx, "d", p)
+		oracle.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.WallMillis = 0
+		want[i] = res
+		if i > 0 && want[i] == want[i-1] {
+			t.Fatalf("heads %d and %d have the same answer %+v; the test cannot tell them apart", i-1, i, want[i])
+		}
+	}
+
+	var acked atomic.Int64 // index of the newest acked head
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				floor := acked.Load()
+				res, _, err := s.Diameter(ctx, "d", p)
+				if err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
+				res.WallMillis = 0
+				head := -1
+				for i, w := range want {
+					if res == w {
+						head = i
+					}
+				}
+				if int64(head) < floor {
+					t.Errorf("query started after head %d was acked got head %d's answer (estimate %v)", floor, head, res.Estimate)
+					return
+				}
+				if n := s.Stats().CacheEntries; n > maxEntries {
+					t.Errorf("%d cache entries, budget %d", n, maxEntries)
+					return
+				}
+			}
+		}()
+	}
+	for i := 1; i < heads; i++ {
+		res := appendTo(t, cat, "d", delta(i))
+		if i%2 == 0 { // the store hears about every other append only
+			s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched)
+		}
+		acked.Store(int64(i))
+		if res, _, err := s.Diameter(ctx, "d", p); err != nil || res.Estimate != want[i].Estimate {
+			t.Errorf("after acked append %d: estimate %v (err %v), want %v", i, res.Estimate, err, want[i].Estimate)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -7,19 +7,14 @@ import (
 )
 
 // The server side of the fleet-wide result cache: GET/PUT /v2/cache/{key}
-// terminate here. The fleet cache is not a separate store — it is a
-// second index (fleetIdx) into the same LRU the local result cache uses,
-// keyed by dataset content address + canonical parameters instead of
-// process-local graph id. Entries arrive two ways: locally computed
-// results for dataset-backed graphs are indexed at insert, and peer
-// pushes land as raw JSON under a reserved graph id until a local query
-// promotes them to typed values. Either way they obey the one LRU budget
-// and eviction policy.
-
-// fleetGraphID keys raw peer-pushed entries in the LRU. Real graph ids
-// start at 1 (nextID is pre-incremented), so 0 can never collide with a
-// registered graph's results.
-const fleetGraphID uint64 = 0
+// terminate here. The fleet cache is not a separate store, nor a separate
+// index: a fleet key — dataset head SHA-256 + canonical parameters — is
+// exactly the key the local result cache files a dataset-backed graph's
+// result under, so a peer's push and a locally computed result share one
+// slot of the one LRU. A push lands as raw JSON; the first local query for
+// it overwrites the slot with the decoded value. Because the SHA in the
+// key is a head the catalog resolved, a pushed result can only ever be
+// served for a name whose head is that SHA.
 
 // FleetKey renders the fleet-wide cache key for an operation on a
 // dataset snapshot: the snapshot's SHA-256 hex plus the canonical
@@ -37,7 +32,7 @@ func FleetKey(sha, op string, p Params) string {
 // position — a probed-for result is a live result.
 func (s *Store) FleetCacheGet(fkey string) ([]byte, bool) {
 	s.mu.Lock()
-	el, ok := s.fleetIdx[fkey]
+	el, ok := s.results[fkey]
 	if !ok {
 		s.mu.Unlock()
 		return nil, false
@@ -58,9 +53,10 @@ func (s *Store) FleetCacheGet(fkey string) ([]byte, bool) {
 // FleetCachePut accepts a peer's PUT /v2/cache/{key}: a JSON-encoded
 // result computed elsewhere, stored raw until a local query decodes it.
 // The body must be valid JSON and the key must look like a fleet key
-// (sha "|" params) — the endpoint trusts the fleet, not the bytes.
+// (content address "|" params) — the endpoint trusts the fleet, not the
+// bytes.
 func (s *Store) FleetCachePut(fkey string, body []byte) error {
-	if !strings.Contains(fkey, "|") {
+	if !strings.Contains(fkey, "|") || !contentAddressed(fkey) {
 		return fmt.Errorf("store: malformed fleet cache key %q", fkey)
 	}
 	if !json.Valid(body) {
@@ -70,48 +66,25 @@ func (s *Store) FleetCachePut(fkey string, body []byte) error {
 	copy(stored, body)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.fleetIdx[fkey]; ok {
-		ent := el.Value.(*entry)
-		if _, isRaw := ent.val.([]byte); isRaw {
-			ent.val = stored // refresh a raw slot in place
-			s.lru.MoveToFront(el)
+	if el, ok := s.results[fkey]; ok {
+		if _, isRaw := el.Value.(*entry).val.([]byte); !isRaw {
+			return nil // a typed entry already holds this result; keep it
 		}
-		// A typed entry already holds this result; keep it.
-		return nil
 	}
-	el := s.lru.PushFront(&entry{
-		key:  key{graphID: fleetGraphID, params: fkey},
-		val:  stored,
-		fkey: fkey,
-	})
-	s.cache[el.Value.(*entry).key] = el
-	s.fleetIdx[fkey] = el
-	s.evictTailLocked()
+	s.insertLocked(fkey, stored)
 	return nil
 }
 
 // FleetKeyFor renders the fleet cache key for an op against a known
 // graph, or ok=false when the graph is not dataset-backed (ad-hoc
 // uploads have no fleet-stable identity). The server layer uses it to
-// answer "where would this query's result live fleet-wide". Like
-// CachedLocally, it resolves an unloaded dataset through the catalog
-// manifest so replica checks work before the graph's first local load.
+// answer "where would this query's result live fleet-wide". The head
+// comes from the catalog manifest, so replica checks work before the
+// graph's first local load.
 func (s *Store) FleetKeyFor(graphName, op string, p Params) (string, bool) {
-	sha, ok := s.contentAddr(graphName)
-	if !ok {
+	_, id := s.resolve(graphName)
+	if id == "" || !contentAddressed(id) {
 		return "", false
 	}
-	return FleetKey(sha, op, p), true
-}
-
-// DatasetSHA reports the content address backing a registered graph, or
-// ok=false for ad-hoc registrations.
-func (s *Store) DatasetSHA(graphName string) (string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ge, ok := s.graphs[graphName]
-	if !ok || ge.sha == "" {
-		return "", false
-	}
-	return ge.sha, true
+	return FleetKey(id, op, p), true
 }

@@ -180,17 +180,12 @@ func (s *Store) submitJob(kind JobKind, graphName string, p Params) (*job, JobVi
 		return nil, JobView{}, err
 	}
 
-	s.mu.Lock()
-	_, resident := s.graphs[graphName]
-	s.mu.Unlock()
-	if !resident {
-		// Not resident — still submittable when the dataset catalog can
-		// resolve the name: locally, or by adopting a peer's record
-		// through a remote blob backend (the job's compute path then
-		// faults the snapshot in lazily). The catalog is consulted
-		// outside s.mu; its mutex can be held across manifest fsyncs by
-		// a concurrent ingest — and a remote lookup adds network latency
-		// — so neither must ever ride the store's global lock.
+	if ge, id := s.resolve(graphName); ge == nil && id == "" {
+		// Neither resident nor in the local manifest — still submittable
+		// when the catalog can adopt a peer's record through a remote blob
+		// backend (the job's compute path then faults the snapshot in
+		// lazily). Like resolve's own lookup this runs outside s.mu: a
+		// remote lookup adds network latency.
 		known := false
 		if s.cfg.Catalog != nil {
 			_, ierr := s.cfg.Catalog.Resolve(graphName)

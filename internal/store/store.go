@@ -3,13 +3,24 @@
 // an LRU cache of computation results with singleflight deduplication.
 //
 // Graphs are registered once under a client-chosen name and queried many
-// times. Every query (decompose, diameter) is keyed by the registered
-// graph's identity and the full algorithm parameter set; identical queries
-// hit the cache, and identical queries arriving concurrently share a single
-// underlying BSP run — the followers block until the leader's run completes
-// and then all return the same result. Distinct computations run on their
-// own bsp.Engine, but a global semaphore caps how many engines execute at
-// once so a burst of distinct queries cannot oversubscribe the host.
+// times. Every resident graph has one identity string: the dataset's head
+// SHA-256 when it was faulted in from the catalog, a process-unique token
+// for an ad-hoc registration. Results, in-flight computations and peer
+// pushes are all keyed by identity|canonicalParams in one map over one
+// LRU; identical queries hit the cache, and identical queries arriving
+// concurrently share a single underlying BSP run — the followers block
+// until the leader's run completes and then all return the same result.
+// Distinct computations run on their own bsp.Engine, but a global
+// semaphore caps how many engines execute at once so a burst of distinct
+// queries cannot oversubscribe the host.
+//
+// The catalog is the only owner of "which graph does this name mean".
+// Every query resolves its name afresh (resolve): an ad-hoc registration
+// shadows a dataset of the same name; otherwise a resident dataset graph
+// is valid iff the catalog's head for its name equals its SHA, and one
+// that is not — deleted, re-ingested, appended to or adopted anew — is
+// dropped and faulted in again. No caller has to tell the store that a
+// head moved for the next answer to be about the new head.
 //
 // The algorithms are deterministic in (graph, parameters) including across
 // worker counts, so cached results are exact, not approximations of what a
@@ -24,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -115,35 +127,32 @@ type GraphInfo struct {
 	CreatedAt time.Time `json:"createdAt"`
 }
 
-// graphEntry pairs a registered graph with a process-unique id. The id, not
-// the name, keys cached results, so re-registering a name with a different
-// graph can never serve stale results.
+// graphEntry is one resident graph. id is its identity: the dataset head
+// SHA-256 for a graph faulted in from the catalog, adhocMark plus a
+// process-unique number for an ad-hoc registration. The id, not the name,
+// keys results, so a name that comes to mean a different graph can never
+// be served the old graph's results.
 type graphEntry struct {
-	id   uint64
+	id   string
 	g    *graph.Graph
 	info GraphInfo
-	// sha is the dataset snapshot's content address when the graph was
-	// faulted in from the catalog; empty for ad-hoc registrations. Only
-	// sha-backed graphs participate in the fleet-wide result cache — an
-	// inline upload has no fleet-stable identity.
-	sha string
 }
 
-// key identifies one cached computation.
-type key struct {
-	graphID uint64
-	params  string // canonical parameter string, see Params.canonical
-}
+// adhocMark starts every ad-hoc identity. It is not a hex digit, so no
+// content address — and no key a peer may push — can collide with one.
+const adhocMark = "#"
 
-// entry is one cache slot. val is the typed result for locally computed
-// entries, or raw JSON ([]byte) for results a peer pushed over
-// PUT /v2/cache before the dataset was ever resident here.
+// contentAddressed reports whether an identity (or a result key, which
+// starts with one) names a dataset head. Only those are fleet-eligible:
+// an inline upload has no fleet-stable identity.
+func contentAddressed(id string) bool { return !strings.HasPrefix(id, adhocMark) }
+
+// entry is one cache slot, keyed identity|canonicalParams. val is the
+// typed result, or raw JSON ([]byte) for a result a peer pushed over
+// PUT /v2/cache that no local query has asked for yet.
 type entry struct {
-	key key
+	key string
 	val any
-	// fkey is the entry's fleet cache key (dataset sha + canonical
-	// params) when the graph is dataset-backed; it indexes fleetIdx.
-	fkey string
 }
 
 // flight is one in-progress computation that concurrent identical requests
@@ -152,6 +161,9 @@ type flight struct {
 	done chan struct{}
 	val  any
 	err  error
+	// purged is set (under s.mu) when the flight's identity is purged
+	// mid-run: the result is still delivered, but not cached.
+	purged bool
 }
 
 // Counters are the store's monotone event counts. A Snapshot of them is
@@ -209,15 +221,14 @@ type Store struct {
 	// particular mmap'd dataset snapshots) while a run is mid-superstep.
 	jobsWG sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool // Close begun: new jobs are no longer WG-tracked
-	nextID   uint64
-	graphs   map[string]*graphEntry
-	cache    map[key]*list.Element    // values are *entry wrapped in list elements
-	lru      *list.List               // front = most recently used
-	fleetIdx map[string]*list.Element // fleet cache key → LRU element
-	flights  map[key]*flight
-	loads    map[string]*flight // per-name dataset fault-ins in progress
+	mu      sync.Mutex
+	closed  bool                     // Close begun: new jobs are no longer WG-tracked
+	nextID  uint64                   // last ad-hoc identity minted
+	graphs  map[string]*graphEntry   // read through resolve only
+	results map[string]*list.Element // identity|params → *entry in lru
+	lru     *list.List               // front = most recently used
+	flights map[string]*flight       // same keys as results
+	loads   map[string]*flight       // per-name dataset fault-ins in progress
 	// retained remembers recent clusterings by content address + params
 	// so delta maintenance can measure churn; see dynamic.go.
 	retained      map[string]*retainedClustering
@@ -242,10 +253,9 @@ func New(cfg Config) *Store {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		graphs:     make(map[string]*graphEntry),
-		cache:      make(map[key]*list.Element),
+		results:    make(map[string]*list.Element),
 		lru:        list.New(),
-		fleetIdx:   make(map[string]*list.Element),
-		flights:    make(map[key]*flight),
+		flights:    make(map[string]*flight),
 		loads:      make(map[string]*flight),
 		retained:   make(map[string]*retainedClustering),
 		jobs:       make(map[string]*job),
@@ -272,14 +282,9 @@ func (s *Store) Close() {
 // AddGraph registers g under name. source is a human-readable provenance
 // string ("spec mesh:64 seed=1", "upload .gr", ...). Registering an
 // existing name replaces the graph; cached results of the old graph are
-// dropped.
+// dropped. An ad-hoc registration shadows a dataset of the same name
+// until it is removed.
 func (s *Store) AddGraph(name string, g *graph.Graph, source string) (GraphInfo, error) {
-	return s.addGraph(name, g, source, "")
-}
-
-// addGraph is AddGraph plus the dataset content address for
-// catalog-faulted graphs (ad-hoc registrations pass "").
-func (s *Store) addGraph(name string, g *graph.Graph, source, sha string) (GraphInfo, error) {
 	if name == "" {
 		return GraphInfo{}, fmt.Errorf("store: graph name must be non-empty")
 	}
@@ -288,14 +293,17 @@ func (s *Store) addGraph(name string, g *graph.Graph, source, sha string) (Graph
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.graphs[name]; ok {
-		s.purgeLocked(old.id)
-	}
 	s.nextID++
+	return s.registerLocked(name, fmt.Sprintf("%s%d", adhocMark, s.nextID), g, source), nil
+}
+
+// registerLocked makes g, under identity id, the resident graph for name,
+// dropping whatever the name held before. Caller holds s.mu.
+func (s *Store) registerLocked(name, id string, g *graph.Graph, source string) GraphInfo {
+	s.dropLocked(name)
 	e := &graphEntry{
-		id:  s.nextID,
-		g:   g,
-		sha: sha,
+		id: id,
+		g:  g,
 		info: GraphInfo{
 			Name:      name,
 			NumNodes:  g.NumNodes(),
@@ -306,102 +314,174 @@ func (s *Store) addGraph(name string, g *graph.Graph, source, sha string) (Graph
 		},
 	}
 	s.graphs[name] = e
-	return e.info, nil
+	return e.info
+}
+
+// dropLocked deregisters name and purges its identity's results. It
+// reports whether the name was resident. Caller holds s.mu.
+func (s *Store) dropLocked(name string) bool {
+	ge, ok := s.graphs[name]
+	if !ok {
+		return false
+	}
+	delete(s.graphs, name)
+	s.purgeLocked(ge.id + "|")
+	return true
+}
+
+// resolve answers "which graph does name mean right now". It is the one
+// read path of the name → graph table: it returns the resident entry when
+// a valid one exists, and the identity the name resolves to ("" when
+// neither the registry nor the catalog's local manifest knows it). An
+// ad-hoc registration wins. Otherwise the catalog names the head, and a
+// resident dataset graph whose SHA differs from it — or whose name the
+// catalog no longer lists — is dropped, for faultIn to load again.
+func (s *Store) resolve(name string) (ge *graphEntry, id string) {
+	s.mu.Lock()
+	ge = s.graphs[name]
+	s.mu.Unlock()
+	if ge != nil && !contentAddressed(ge.id) {
+		return ge, ge.id
+	}
+	// Outside s.mu: the catalog's mutex can be held across a manifest
+	// fsync by a concurrent ingest and must never ride the store's lock.
+	if cat := s.cfg.Catalog; cat != nil {
+		if in, err := cat.Info(name); err == nil {
+			id = in.SHA256
+		}
+	}
+	if ge != nil && ge.id != id {
+		s.mu.Lock()
+		if s.graphs[name] == ge {
+			s.dropLocked(name)
+		}
+		s.mu.Unlock()
+		ge = nil
+	}
+	return ge, id
 }
 
 // Graph returns the registered graph and its info.
 func (s *Store) Graph(name string) (*graph.Graph, GraphInfo, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.graphs[name]
-	if !ok {
+	ge, _ := s.resolve(name)
+	if ge == nil {
 		return nil, GraphInfo{}, false
 	}
-	return e.g, e.info, true
+	return ge.g, ge.info, true
 }
 
 // RemoveGraph deregisters name and drops its cached results. It reports
-// whether the name was registered.
+// whether the name was registered. A dataset-backed name is faulted in
+// again by its next query.
 func (s *Store) RemoveGraph(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.graphs[name]
-	if !ok {
-		return false
-	}
-	s.purgeLocked(e.id)
-	delete(s.graphs, name)
-	return true
+	return s.dropLocked(name)
 }
 
 // Graphs lists registered graphs sorted by name.
 func (s *Store) Graphs() []GraphInfo {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]GraphInfo, 0, len(s.graphs))
-	for _, e := range s.graphs {
-		out = append(out, e.info)
+	names := make([]string, 0, len(s.graphs))
+	for name := range s.graphs {
+		names = append(names, name)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	s.mu.Unlock()
+	sort.Strings(names)
+	out := make([]GraphInfo, 0, len(names))
+	for _, name := range names {
+		if ge, _ := s.resolve(name); ge != nil {
+			out = append(out, ge.info)
+		}
+	}
 	return out
 }
 
 // Stats returns a point-in-time monitoring view.
 func (s *Store) Stats() Stats {
+	graphs := s.Graphs()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := Stats{
+	return Stats{
 		Counters:      s.ctrs,
 		CacheEntries:  s.lru.Len(),
 		MaxEntries:    s.cfg.MaxEntries,
 		InFlight:      len(s.flights),
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		Jobs:          s.jobCountsLocked(),
+		Graphs:        graphs,
 		TotalCost:     s.cost.Snapshot(),
 	}
-	for _, e := range s.graphs {
-		out.Graphs = append(out.Graphs, e.info)
-	}
-	sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Name < out.Graphs[j].Name })
-	return out
 }
 
-// purgeLocked removes every cache entry and does not wait for flights of
-// the given graph id. Caller holds s.mu.
-func (s *Store) purgeLocked(graphID uint64) {
+// purgeLocked removes every cache slot whose key starts with prefix (an
+// identity plus "|") and returns how many it removed. Flights under the
+// prefix are not waited for; they are marked so their results are not
+// cached. This is LRU hygiene — superseded entries must not squat slots —
+// and never what correctness rests on: a superseded identity can no
+// longer be resolved to. Caller holds s.mu.
+func (s *Store) purgeLocked(prefix string) (removed int) {
 	for el := s.lru.Front(); el != nil; {
 		next := el.Next()
-		ent := el.Value.(*entry)
-		if ent.key.graphID == graphID {
-			s.removeEntryLocked(el, ent)
+		if strings.HasPrefix(el.Value.(*entry).key, prefix) {
+			s.removeLocked(el)
+			removed++
 		}
 		el = next
 	}
+	for k, f := range s.flights {
+		if strings.HasPrefix(k, prefix) {
+			f.purged = true
+		}
+	}
+	return removed
 }
 
-// removeEntryLocked drops one cache slot and its fleet index entry (only
-// when the index still points at this element — a newer result for the
-// same fleet key may have repointed it). Caller holds s.mu.
-func (s *Store) removeEntryLocked(el *list.Element, ent *entry) {
+// removeLocked drops one cache slot. Caller holds s.mu.
+func (s *Store) removeLocked(el *list.Element) {
 	s.lru.Remove(el)
-	delete(s.cache, ent.key)
-	if ent.fkey != "" && s.fleetIdx[ent.fkey] == el {
-		delete(s.fleetIdx, ent.fkey)
+	delete(s.results, el.Value.(*entry).key)
+}
+
+// lookupLocked serves k from the cache. A slot still holding a peer's raw
+// push is decoded on first use and the typed value overwrites it in place
+// (result bodies are small fixed-shape structs, so decoding under the
+// lock is cheap); an undecodable push is dropped and reads as a miss.
+// Caller holds s.mu.
+func (s *Store) lookupLocked(k string, decode func([]byte) (any, error)) (val any, tier string, ok bool) {
+	el, ok := s.results[k]
+	if !ok {
+		return nil, "", false
 	}
+	ent := el.Value.(*entry)
+	tier = "local"
+	if raw, isRaw := ent.val.([]byte); isRaw {
+		v, err := decode(raw)
+		if err != nil {
+			s.removeLocked(el)
+			return nil, "", false
+		}
+		ent.val, tier = v, "fleet_raw"
+		s.ctrs.FleetHits++
+	} else {
+		s.ctrs.Hits++
+	}
+	s.lru.MoveToFront(el)
+	return ent.val, tier, true
 }
 
 // do returns the cached value for (graph, params), joining an in-flight
 // identical computation if one exists, and otherwise computing it by
-// running fn on the registered graph under the concurrency cap. fn
-// receives the leader's context and must abandon its work when it is
-// cancelled. cached reports whether the value was served without running
-// fn (cache hit, joined flight, or fleet-cache hit).
+// running fn on the resident graph under the concurrency cap. fn receives
+// the leader's context and must abandon its work when it is cancelled.
+// cached reports whether the value was served without running fn (cache
+// hit, joined flight, or fleet-cache hit).
 //
-// decode, when non-nil, turns a fleet-cached JSON body into the typed
-// result: for dataset-backed graphs a local miss first consults the
-// fleet-wide cache — a result a peer pushed here earlier, then a bounded
-// probe of live peers — and only computes when the whole fleet misses. A
-// freshly computed result is pushed back to the fleet (best-effort).
+// decode turns a fleet-cached JSON body into the typed result: for
+// dataset-backed graphs the cache slot may hold a result a peer pushed
+// here earlier, and a local miss makes a bounded probe of live peers
+// before it computes. A freshly computed result is pushed back to the
+// fleet (best-effort).
 //
 // A follower whose leader was cancelled (the leader's own context expired
 // while waiting for a compute slot or mid-run) retries instead of
@@ -412,55 +492,16 @@ func (s *Store) do(ctx context.Context, graphName, params string,
 	fn func(ctx context.Context, g *graph.Graph) (any, error)) (val any, cached bool, err error) {
 
 	for {
+		ge, err := s.faultIn(ctx, graphName)
+		if err != nil {
+			return nil, false, err
+		}
+		k := ge.id + "|" + params
 		s.mu.Lock()
-		ge, ok := s.graphs[graphName]
-		if !ok {
+		if v, tier, ok := s.lookupLocked(k, decode); ok {
 			s.mu.Unlock()
-			// Dataset-backed lazy loading: a name that is not resident may
-			// exist in the catalog; fault it in (deduplicated per name)
-			// and retry the lookup.
-			if err := s.faultIn(ctx, graphName); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		k := key{graphID: ge.id, params: params}
-		fkey := ""
-		if s.cfg.FleetCache != nil && ge.sha != "" && decode != nil {
-			fkey = ge.sha + "|" + params
-		}
-		if el, ok := s.cache[k]; ok {
-			s.lru.MoveToFront(el)
-			s.ctrs.Hits++
-			v := el.Value.(*entry).val
-			s.mu.Unlock()
-			s.cfg.Metrics.hit("local")
+			s.cfg.Metrics.hit(tier)
 			return v, true, nil
-		}
-		// A peer may have pushed this result here before the dataset was
-		// ever queried locally (the raw-JSON side of the fleet cache).
-		if fkey != "" {
-			if el, ok := s.fleetIdx[fkey]; ok {
-				if body, isRaw := el.Value.(*entry).val.([]byte); isRaw {
-					s.mu.Unlock()
-					if v, derr := decode(body); derr == nil {
-						s.mu.Lock()
-						s.ctrs.FleetHits++
-						// Promote: drop the raw slot, insert the typed result.
-						if el, ok := s.fleetIdx[fkey]; ok {
-							if _, isRaw := el.Value.(*entry).val.([]byte); isRaw {
-								s.removeEntryLocked(el, el.Value.(*entry))
-							}
-						}
-						s.insertLocked(graphName, k, fkey, v)
-						s.mu.Unlock()
-						s.cfg.Metrics.hit("fleet_raw")
-						return v, true, nil
-					}
-					// Undecodable push: fall through and recompute.
-					s.mu.Lock()
-				}
-			}
 		}
 		if f, ok := s.flights[k]; ok {
 			s.ctrs.Dedups++
@@ -482,16 +523,19 @@ func (s *Store) do(ctx context.Context, graphName, params string,
 		s.ctrs.Misses++
 		f := &flight{done: make(chan struct{})}
 		s.flights[k] = f
-		g := ge.g
 		s.mu.Unlock()
 		s.cfg.Metrics.miss()
 
 		// Leader path: probe the fleet, else acquire a compute slot, run,
 		// publish. The probe rides the flight leadership, so concurrent
 		// identical local requests cost at most one peer round-trip.
+		var fleet FleetCache
+		if contentAddressed(ge.id) {
+			fleet = s.cfg.FleetCache
+		}
 		fleetHit := false
-		if fkey != "" {
-			if body, ok := s.cfg.FleetCache.Get(ctx, fkey); ok {
+		if fleet != nil {
+			if body, ok := fleet.Get(ctx, k); ok {
 				if v, derr := decode(body); derr == nil {
 					f.val, fleetHit = v, true
 				}
@@ -501,7 +545,7 @@ func (s *Store) do(ctx context.Context, graphName, params string,
 			select {
 			case s.sem <- struct{}{}:
 				s.cfg.Metrics.slotAcquired()
-				f.val, f.err = fn(ctx, g)
+				f.val, f.err = fn(ctx, ge.g)
 				s.cfg.Metrics.slotReleased()
 				<-s.sem
 			case <-ctx.Done():
@@ -520,107 +564,93 @@ func (s *Store) do(ctx context.Context, graphName, params string,
 				s.ctrs.Computations++
 				s.cfg.Metrics.computation()
 			}
-			s.insertLocked(graphName, k, fkey, f.val)
+			if !f.purged {
+				s.insertLocked(k, f.val)
+			}
 		case !isContextErr(f.err):
 			s.ctrs.Errors++ // client disconnects are not store errors
 			s.cfg.Metrics.errored()
 		}
 		s.mu.Unlock()
 		close(f.done)
-		if f.err == nil && fkey != "" && !fleetHit {
+		if f.err == nil && fleet != nil && !fleetHit {
 			// Push the fresh result to the key's fleet owner so routed
 			// queries find it wherever they land (best-effort, async).
 			if body, merr := json.Marshal(f.val); merr == nil {
-				s.cfg.FleetCache.Put(fkey, body)
+				fleet.Put(k, body)
 			}
 		}
 		return f.val, fleetHit, f.err
 	}
 }
 
-// faultIn loads graphName from the dataset catalog into the registry.
-// Concurrent fault-ins of the same name share one catalog load
-// (singleflight): the first caller mmaps the snapshot, the rest wait on
-// its flight. Returns NotFoundError when no catalog is configured or the
-// catalog has no such dataset, so the API surface is unchanged for
-// memory-only deployments.
-func (s *Store) faultIn(ctx context.Context, graphName string) error {
+// faultIn returns the resident graph that name means right now, loading
+// it from the dataset catalog first when resolve finds none. Concurrent
+// fault-ins of the same name share one catalog load (singleflight): the
+// first caller mmaps the snapshot, the rest wait on its flight. Whatever
+// was loaded is resolved again before it is returned, so a head that
+// moved during the load is loaded again rather than served. Returns
+// NotFoundError when no catalog is configured or the catalog has no such
+// dataset, so the API surface is unchanged for memory-only deployments.
+func (s *Store) faultIn(ctx context.Context, name string) (*graphEntry, error) {
 	for {
-		s.mu.Lock()
-		if _, ok := s.graphs[graphName]; ok {
-			s.mu.Unlock()
-			return nil // someone else registered it meanwhile
+		if ge, _ := s.resolve(name); ge != nil {
+			return ge, nil
 		}
 		cat := s.cfg.Catalog
 		if cat == nil {
-			s.mu.Unlock()
-			return &NotFoundError{Name: graphName}
+			return nil, &NotFoundError{Name: name}
 		}
-		if f, ok := s.loads[graphName]; ok {
-			s.mu.Unlock()
+		s.mu.Lock()
+		f, loading := s.loads[name]
+		if !loading {
+			f = &flight{done: make(chan struct{})}
+			s.loads[name] = f
+		}
+		s.mu.Unlock()
+		if loading {
 			select {
 			case <-f.done:
-				if f.err != nil && isContextErr(f.err) && ctx.Err() == nil {
-					continue // leader abandoned, not us: retry
+				if f.err != nil && (!isContextErr(f.err) || ctx.Err() != nil) {
+					return nil, f.err
 				}
-				return f.err
+				continue // loaded, or the leader abandoned and we did not
 			case <-ctx.Done():
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 		}
-		f := &flight{done: make(chan struct{})}
-		s.loads[graphName] = f
-		s.mu.Unlock()
 
-		ld, err := cat.Load(graphName)
-		if err == nil {
-			err = s.addGraphIfAbsent(graphName, ld.Graph,
-				fmt.Sprintf("dataset sha256=%s", dataset.ShortSHA(ld.Header.SHAHex())),
-				ld.Header.SHAHex())
-		} else if errors.Is(err, dataset.ErrNotFound) {
-			err = &NotFoundError{Name: graphName}
+		ld, err := cat.Load(name)
+		if errors.Is(err, dataset.ErrNotFound) {
+			err = &NotFoundError{Name: name}
 		}
-		f.err = err
-
 		s.mu.Lock()
-		delete(s.loads, graphName)
+		if err == nil {
+			sha := ld.Header.SHAHex()
+			// An ad-hoc registration that arrived mid-load keeps the name.
+			if cur := s.graphs[name]; cur == nil || (contentAddressed(cur.id) && cur.id != sha) {
+				s.registerLocked(name, sha, ld.Graph, "dataset sha256="+dataset.ShortSHA(sha))
+			}
+		}
+		delete(s.loads, name)
 		s.mu.Unlock()
+		f.err = err
 		close(f.done)
-		return err
+		if err != nil {
+			return nil, err
+		}
 	}
-}
-
-// addGraphIfAbsent registers g under name only when the name is free: a
-// fault-in that raced a direct AddGraph (a client re-registering the name
-// mid-load) must not clobber the client's graph and purge its results.
-// Either way the name is resident afterwards, which is all fault-in
-// callers need.
-func (s *Store) addGraphIfAbsent(name string, g *graph.Graph, source, sha string) error {
-	s.mu.Lock()
-	_, exists := s.graphs[name]
-	s.mu.Unlock()
-	if exists {
-		return nil
-	}
-	// addGraph re-locks; the window between the check and the add is
-	// benign — worst case the dataset copy wins a race two registrations
-	// were always allowed to have.
-	_, err := s.addGraph(name, g, source, sha)
-	return err
 }
 
 // LoadDataset faults the named dataset into the in-memory registry
 // eagerly (the same path queries take lazily) and returns the registered
 // graph's info.
 func (s *Store) LoadDataset(ctx context.Context, name string) (GraphInfo, error) {
-	if err := s.faultIn(ctx, name); err != nil {
+	ge, err := s.faultIn(ctx, name)
+	if err != nil {
 		return GraphInfo{}, err
 	}
-	_, info, ok := s.Graph(name)
-	if !ok {
-		return GraphInfo{}, &NotFoundError{Name: name}
-	}
-	return info, nil
+	return ge.info, nil
 }
 
 // isContextErr reports whether err is a cancellation/deadline error — the
@@ -629,29 +659,18 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// insertLocked adds a freshly computed value, evicting from the LRU tail.
-// The insert is skipped when the graph was removed or replaced while the
-// computation ran — the old id's key could never be matched again and
-// would only squat an LRU slot. fkey, when non-empty, (re)points the
-// fleet index at this entry so peer probes find the typed result. Caller
-// holds s.mu.
-func (s *Store) insertLocked(graphName string, k key, fkey string, val any) {
-	if ge, ok := s.graphs[graphName]; !ok || ge.id != k.graphID {
+// insertLocked stores val under k — overwriting a slot that is already
+// there (a peer's push that raced the computation) — and trims the LRU to
+// its entry budget from the tail. Caller holds s.mu.
+func (s *Store) insertLocked(k string, val any) {
+	if el, ok := s.results[k]; ok {
+		el.Value.(*entry).val = val
+		s.lru.MoveToFront(el)
 		return
 	}
-	el := s.lru.PushFront(&entry{key: k, val: val, fkey: fkey})
-	s.cache[k] = el
-	if fkey != "" {
-		s.fleetIdx[fkey] = el
-	}
-	s.evictTailLocked()
-}
-
-// evictTailLocked trims the LRU to its entry budget. Caller holds s.mu.
-func (s *Store) evictTailLocked() {
+	s.results[k] = s.lru.PushFront(&entry{key: k, val: val})
 	for s.lru.Len() > s.cfg.MaxEntries {
-		tail := s.lru.Back()
-		s.removeEntryLocked(tail, tail.Value.(*entry))
+		s.removeLocked(s.lru.Back())
 		s.ctrs.Evictions++
 		s.cfg.Metrics.eviction()
 	}
