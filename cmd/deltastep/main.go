@@ -19,7 +19,6 @@ import (
 
 	"graphdiam/cmd/internal/cli"
 	"graphdiam/internal/bsp"
-	"graphdiam/internal/graph"
 	"graphdiam/internal/sssp"
 	"graphdiam/internal/validate"
 )
@@ -44,9 +43,10 @@ func main() {
 	}
 	fmt.Printf("graph: n=%d m=%d avg-weight=%.4g\n", g.NumNodes(), g.NumEdges(), g.AvgEdgeWeight())
 
-	src := graph.NodeID(g.NumNodes() / 2)
-	if *source >= 0 {
-		src = graph.NodeID(*source)
+	src, err := cli.Source(g, *source)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "deltastep:", err)
+		os.Exit(1)
 	}
 	d := *delta
 	if d <= 0 {

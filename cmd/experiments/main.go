@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (Section 5) on the scaled benchmark suite. See DESIGN.md for
-// the per-experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+// evaluation (Section 5) on the scaled benchmark suite. See the experiment
+// index in DESIGN.md for which paper artifact each subcommand reproduces;
+// `experiments -scale test all` is the quick smoke run.
 //
 // Usage:
 //

@@ -55,3 +55,17 @@ func Load(path, spec string, seed uint64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("cli: one of -graph or -spec is required")
 	}
 }
+
+// Source resolves a -source flag against g: -1 means node n/2, and any
+// other value must be a node ID in [0, n).
+func Source(g *graph.Graph, flagValue int) (graph.NodeID, error) {
+	n := g.NumNodes()
+	src := flagValue
+	if src == -1 {
+		src = n / 2
+	}
+	if src < 0 || src >= n {
+		return 0, fmt.Errorf("cli: -source %d is not a node of the graph (n=%d; want 0..n-1, or -1 for n/2)", flagValue, n)
+	}
+	return graph.NodeID(src), nil
+}

@@ -3,10 +3,12 @@ package cli
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphdiam/internal/gen"
 	"graphdiam/internal/gio"
+	"graphdiam/internal/graph"
 )
 
 func TestLoadSpecFamilies(t *testing.T) {
@@ -92,6 +94,37 @@ func TestLoadGraphDispatchesOnExtension(t *testing.T) {
 func TestLoadGraphMissingFile(t *testing.T) {
 	if _, err := LoadGraph("/definitely/not/here.gr"); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+func TestSourceRange(t *testing.T) {
+	g := gen.Mesh(8) // n = 64
+	cases := []struct {
+		flag    int
+		want    graph.NodeID
+		wantErr bool
+	}{
+		{-1, 32, false},
+		{0, 0, false},
+		{63, 63, false},
+		{64, 0, true},
+		{1000, 0, true},
+		{-2, 0, true},
+	}
+	for _, c := range cases {
+		got, err := Source(g, c.flag)
+		if c.wantErr {
+			if err == nil || !strings.Contains(err.Error(), "n=64") {
+				t.Errorf("Source(%d): err = %v, want an error naming n=64", c.flag, err)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("Source(%d) = %d, %v; want %d", c.flag, got, err, c.want)
+		}
+	}
+	if _, err := Source(graph.NewBuilder(0, 0).Build(), -1); err == nil {
+		t.Error("Source(-1) on an empty graph: want an error")
 	}
 }
 

@@ -31,7 +31,8 @@ type DiamOptions struct {
 
 // DiamResult is the outcome of a CL-DIAM run.
 type DiamResult struct {
-	// Estimate is Φapprox(G) = Φ(G_C) + 2R ≥ Φ(G).
+	// Estimate is Φapprox(G) = Φ(G_C) + 2R, which is ≥ Φ(G) when Φ(G_C)
+	// is exact (see ApproxDiameter).
 	Estimate float64
 	// QuotientDiameter is Φ(G_C).
 	QuotientDiameter float64
@@ -51,9 +52,13 @@ type DiamResult struct {
 // ApproxDiameter runs the paper's practical diameter approximation CL-DIAM:
 // decompose g with CLUSTER(G, τ) (Section 3), build the weighted quotient
 // graph (Section 4), and return Φ(G_C) + 2R. The estimate is conservative —
-// Φapprox(G) ≥ Φ(G) — and, per the paper's experiments and the ones in
-// EXPERIMENTS.md, within a factor ~1.4 of the true diameter in practice,
-// far below the O(log³ n) worst-case guarantee.
+// Φapprox(G) ≥ Φ(G) — whenever Φ(G_C) is exact, which quotient.Diameter
+// guarantees up to Quotient.ExactThreshold nodes. Above that threshold
+// Φ(G_C) is a sweep lower bound, so Φapprox(G) ≥ Φ(G) is not guaranteed
+// there. Per the paper's experiments the estimate is within a factor ~1.4
+// of the true diameter in practice, far below the O(log³ n) worst-case
+// guarantee; `cmd/experiments -scale test` measures the ratios here (see
+// the experiment index in DESIGN.md).
 //
 // Cancellation of ctx is observed at superstep barriers throughout the
 // decomposition and between the quotient phases; a cancelled run returns

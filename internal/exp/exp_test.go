@@ -62,7 +62,8 @@ func TestPaperShapeRoadGraphs(t *testing.T) {
 	}
 	// Work parity or better. (The paper's Spark work counter includes
 	// per-round RDD rescans and shows a larger gap; our counters include
-	// only algorithmically necessary relaxations — see EXPERIMENTS.md.)
+	// only algorithmically necessary relaxations — run `cmd/experiments
+	// -scale test table2`; see the experiment index in DESIGN.md.)
 	if row.WorkCL > 3*row.WorkDS/2 {
 		t.Fatalf("roads: CL-DIAM work %d well above Δ-stepping %d", row.WorkCL, row.WorkDS)
 	}

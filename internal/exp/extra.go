@@ -97,7 +97,8 @@ func Fig4(scale Scale, workerCounts []int, seed uint64) []Fig4Point {
 			// per-superstep maximum worker time accumulates into the
 			// critical path — the compute time a P-machine cluster would
 			// pay. This keeps Figure 4 meaningful on hosts with fewer
-			// physical cores than simulated machines (see EXPERIMENTS.md).
+			// physical cores than simulated machines (run `cmd/experiments
+			// -scale test fig4`; see the experiment index in DESIGN.md).
 			e := bsp.NewSimulated(p)
 			res := mustDiam(ng.G, core.DiamOptions{
 				Options: core.Options{Tau: tau, Seed: seed, Engine: e},

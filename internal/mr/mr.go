@@ -16,10 +16,9 @@
 // any single reducer receives, which must stay within M_L for the execution
 // to be valid in MR(M_T, M_L).
 //
-// On top of the raw round primitive, the package provides the sorting and
-// prefix-sum primitives of the paper's Fact 1, which run in O(log_{M_L} n)
-// rounds — these are the building blocks that let a Δ-growing step execute
-// in O(1) rounds.
+// The sorting and prefix-sum primitives of the paper's Fact 1 are not
+// implemented: internal/mrcluster runs each Δ-growing step as a single
+// reduce round, which is what the O(1)-rounds argument needs.
 package mr
 
 import (
@@ -161,143 +160,6 @@ func Round[V1, V2 any](e *Engine, input []Pair[V1],
 	}
 	e.recordRound(sizes, len(input)+total)
 	return result
-}
-
-// Sort sorts items in O(log_{M_L} n) MR rounds using sample sort: if the
-// input fits in local memory it is sorted by a single reducer (one round);
-// otherwise deterministic splitters partition it into at most M_L buckets,
-// each sorted recursively. This realizes the sorting half of the paper's
-// Fact 1.
-func Sort(e *Engine, items []uint64) []uint64 {
-	return sortRec(e, items, false)
-}
-
-// sortRec implements Sort. force requests a single-reducer sort regardless
-// of M_L; it is used when splitting makes no progress (all remaining keys
-// equal up to splitter resolution), in which case one reducer must receive
-// the whole group anyway — exactly as in a real sample sort with duplicate
-// keys — and the engine records the M_L violation.
-func sortRec(e *Engine, items []uint64, force bool) []uint64 {
-	n := len(items)
-	if n == 0 {
-		return nil
-	}
-	ml := e.localMemory
-	if force || ml <= 0 || n <= ml {
-		// Single reducer sorts everything: one round, reducer load n.
-		input := make([]Pair[uint64], n)
-		for i, v := range items {
-			input[i] = Pair[uint64]{0, v}
-		}
-		out := Round(e, input, func(_ uint64, vs []uint64, emit func(uint64, uint64)) {
-			sorted := append([]uint64(nil), vs...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			for _, v := range sorted {
-				emit(0, v)
-			}
-		})
-		res := make([]uint64, n)
-		for i, p := range out {
-			res[i] = p.Value
-		}
-		return res
-	}
-	// Partition round: evenly spaced splitters from a sorted sample split
-	// the input into ~sqrt-balanced buckets of expected size <= M_L.
-	buckets := (n + ml - 1) / ml
-	if buckets < 2 {
-		buckets = 2
-	}
-	sample := append([]uint64(nil), items...)
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	splitters := make([]uint64, buckets-1)
-	for i := range splitters {
-		splitters[i] = sample[(i+1)*n/buckets]
-	}
-	input := make([]Pair[uint64], n)
-	for i, v := range items {
-		b := sort.Search(len(splitters), func(j int) bool { return splitters[j] > v })
-		input[i] = Pair[uint64]{uint64(b), v}
-	}
-	// One round to materialize the buckets.
-	parts := make([][]uint64, buckets)
-	out := Round(e, input, func(k uint64, vs []uint64, emit func(uint64, uint64)) {
-		for _, v := range vs {
-			emit(k, v)
-		}
-	})
-	for _, p := range out {
-		parts[p.Key] = append(parts[p.Key], p.Value)
-	}
-	res := make([]uint64, 0, n)
-	for _, part := range parts {
-		// A part that did not shrink means every item fell between the same
-		// pair of splitters; recursing would loop, so sort it in one reducer.
-		res = append(res, sortRec(e, part, len(part) == n)...)
-	}
-	return res
-}
-
-// PrefixSum computes the exclusive prefix sums of items in O(1) rounds for
-// inputs of size at most M_L², following the standard two-level MR scheme
-// (the prefix-sum half of Fact 1): round one sums blocks of size M_L,
-// round two scans the block sums and emits per-item offsets.
-func PrefixSum(e *Engine, items []int64) []int64 {
-	n := len(items)
-	if n == 0 {
-		return nil
-	}
-	ml := e.localMemory
-	if ml <= 0 {
-		ml = n
-	}
-	blocks := (n + ml - 1) / ml
-	// Round 1: per-block partial sums.
-	input := make([]Pair[int64], n)
-	for i, v := range items {
-		input[i] = Pair[int64]{uint64(i / ml), v}
-	}
-	blockSums := make([]int64, blocks)
-	out := Round(e, input, func(k uint64, vs []int64, emit func(uint64, int64)) {
-		var s int64
-		for _, v := range vs {
-			s += v
-		}
-		emit(k, s)
-	})
-	for _, p := range out {
-		blockSums[p.Key] = p.Value
-	}
-	// Round 2: one reducer scans the block sums (there are at most M_L of
-	// them when n <= M_L²) producing block offsets; then blocks finish
-	// locally. We fold both halves into one Round for accounting parity
-	// with the two-round textbook scheme by charging an extra round below.
-	sumInput := make([]Pair[int64], blocks)
-	for i, s := range blockSums {
-		sumInput[i] = Pair[int64]{0, s}
-	}
-	offsets := make([]int64, blocks)
-	Round(e, sumInput, func(_ uint64, vs []int64, emit func(uint64, int64)) {
-		var acc int64
-		for i, v := range vs {
-			offsets[i] = acc
-			acc += v
-		}
-	})
-	res := make([]int64, n)
-	for b := 0; b < blocks; b++ {
-		acc := offsets[b]
-		lo := b * ml
-		hi := lo + ml
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			res[i] = acc
-			acc += items[i]
-		}
-	}
-	return res
 }
 
 // String summarizes the engine accounting.

@@ -1,9 +1,7 @@
 package mr
 
 import (
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"graphdiam/internal/rng"
 )
@@ -102,130 +100,6 @@ func TestLocalMemoryViolationDetected(t *testing.T) {
 	e.Reset()
 	if e.Violations() != 0 || e.Rounds() != 0 {
 		t.Fatal("Reset incomplete")
-	}
-}
-
-func TestSortSmallInputSingleRound(t *testing.T) {
-	e := NewEngine(2, 100)
-	items := []uint64{5, 3, 9, 1, 1, 7}
-	got := Sort(e, items)
-	want := append([]uint64(nil), items...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sorted = %v, want %v", got, want)
-		}
-	}
-	if e.Rounds() != 1 {
-		t.Fatalf("rounds = %d, want 1 for in-memory input", e.Rounds())
-	}
-}
-
-func TestSortRespectsLocalMemory(t *testing.T) {
-	// n = 1000, M_L = 64: sample sort must stay within the local bound and
-	// finish in O(log_ML n) rounds — here a partition level plus leaf
-	// sorts, far below n rounds.
-	const n, ml = 1000, 64
-	r := rng.New(1)
-	items := make([]uint64, n)
-	for i := range items {
-		items[i] = r.Uint64() % 500 // duplicates included
-	}
-	e := NewEngine(4, ml)
-	got := Sort(e, items)
-	if len(got) != n {
-		t.Fatalf("length %d, want %d", len(got), n)
-	}
-	for i := 1; i < n; i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-	// Sample buckets are balanced in expectation; duplicates can overflow a
-	// bucket, but any overflowing bucket recurses, so the only hard
-	// invariant is termination plus a round count well below n.
-	if e.Rounds() > 64 {
-		t.Fatalf("rounds = %d, want O(log_ML n) ~ small", e.Rounds())
-	}
-}
-
-func TestSortProperty(t *testing.T) {
-	check := func(seed uint64, nRaw uint16, mlRaw uint8) bool {
-		n := int(nRaw) % 300
-		ml := int(mlRaw)%40 + 4
-		r := rng.New(seed)
-		items := make([]uint64, n)
-		counts := map[uint64]int{}
-		for i := range items {
-			items[i] = r.Uint64() % 64
-			counts[items[i]]++
-		}
-		got := Sort(NewEngine(3, ml), items)
-		if len(got) != n {
-			return false
-		}
-		for i := 1; i < n; i++ {
-			if got[i-1] > got[i] {
-				return false
-			}
-		}
-		for _, v := range got {
-			counts[v]--
-		}
-		for _, c := range counts {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixSum(t *testing.T) {
-	e := NewEngine(2, 4)
-	items := []int64{3, 1, 4, 1, 5, 9, 2, 6}
-	got := PrefixSum(e, items)
-	want := []int64{0, 3, 4, 8, 9, 14, 23, 25}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prefix[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if e.Rounds() != 2 {
-		t.Fatalf("rounds = %d, want 2 (Fact 1: O(1) rounds)", e.Rounds())
-	}
-}
-
-func TestPrefixSumEmpty(t *testing.T) {
-	if got := PrefixSum(NewEngine(1, 0), nil); got != nil {
-		t.Fatalf("PrefixSum(nil) = %v", got)
-	}
-}
-
-func TestPrefixSumProperty(t *testing.T) {
-	check := func(seed uint64, nRaw uint8, mlRaw uint8) bool {
-		n := int(nRaw)
-		ml := int(mlRaw)%16 + 1
-		r := rng.New(seed)
-		items := make([]int64, n)
-		for i := range items {
-			items[i] = int64(r.Intn(100)) - 50
-		}
-		got := PrefixSum(NewEngine(2, ml), items)
-		var acc int64
-		for i := 0; i < n; i++ {
-			if got[i] != acc {
-				return false
-			}
-			acc += items[i]
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,13 +1,19 @@
+// Package pq provides the two priority queues of graphdiam's shortest-path
+// algorithms: FlatHeap, an indexed 4-ary min-heap whose Push doubles as
+// decrease-key (for Dijkstra), and BucketQueue, a cyclic bucket queue (for
+// Δ-stepping).
+//
+// Both key items by dense integer IDs in [0, n), which matches the node-ID
+// space of internal/graph and avoids per-operation allocation.
 package pq
 
 // FlatHeap is an indexed 4-ary min-heap that stores (priority, id) entries
-// inline in the heap array. It supports the same Dijkstra contract as
-// QuadHeap — Push doubles as decrease-key — but its comparisons read the
-// contiguous entry slice directly instead of the pos/prio double
-// indirection of the indexed heaps (h.prio[h.items[c]] is a dependent
-// random-access load per comparison; h.h[c].p is a sequential one), and its
-// sifts move a hole instead of swapping. On the diameter sweeps, where
-// Dijkstra dominates the profile, this roughly halves the heap cost.
+// inline in the heap array. Push doubles as decrease-key. Comparisons read
+// the contiguous entry slice directly rather than through a separate
+// id → priority array (h.h[c].p is a sequential load, not a dependent
+// random access), and sifts move a hole instead of swapping. On the
+// diameter sweeps, where Dijkstra dominates the profile, this roughly
+// halves the heap cost of a classic indexed heap.
 type FlatHeap struct {
 	h   []flatEntry
 	pos []int32 // id -> index in h, -1 if absent

@@ -120,11 +120,12 @@ func (o DiameterOptions) withDefaults() DiameterOptions {
 }
 
 // Diameter computes (or tightly estimates) the weighted diameter of the
-// quotient graph q. Below opts.ExactThreshold nodes it is exact; above, it
+// quotient graph q. Up to opts.ExactThreshold nodes it is exact, so CL-DIAM's
+// Φ(G_C) + 2R is a guaranteed upper bound on Φ(G). Above the threshold it
 // falls back to iterated farthest-node sweeps from every component, which
-// yields a lower bound on Φ(G_C) that is near-exact in practice (the 2R
-// additive term of the overall estimate keeps the final CL-DIAM output an
-// empirical upper bound; see EXPERIMENTS.md).
+// yields a lower bound on Φ(G_C): near-exact in practice, but CL-DIAM's
+// estimate is then no longer guaranteed to be ≥ Φ(G) (measured by
+// `cmd/experiments -scale test`; see the experiment index in DESIGN.md).
 func Diameter(q *graph.Graph, e *bsp.Engine, opts DiameterOptions) float64 {
 	o := opts.withDefaults()
 	n := q.NumNodes()

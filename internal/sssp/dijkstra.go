@@ -1,14 +1,15 @@
-// Package sssp implements single-source shortest path algorithms on the
-// weighted graphs of internal/graph:
+// Package sssp implements the single-source shortest path algorithms the
+// paper uses, on the weighted graphs of internal/graph:
 //
-//   - Dijkstra's algorithm with an indexed 4-ary heap (the sequential
-//     reference used for ground truth and for the paper's diameter lower
-//     bound procedure);
-//   - Bellman–Ford with round counting (the relaxation pattern whose
-//     Δ-limited form is the paper's "Δ-growing step");
+//   - Dijkstra's algorithm with an indexed 4-ary heap (the exact
+//     sequential tool: ground truth, the diameter lower bound procedure
+//     and quotient diameters);
 //   - Δ-stepping (Meyer & Sanders, J. Algorithms 2003), both sequential
 //     and parallel on the BSP engine — the paper's only practical
 //     linear-space competitor, used as a 2-approximation of the diameter.
+//
+// A sequential Bellman–Ford with round counting is kept as the test
+// reference Dijkstra and Δ-stepping are compared against.
 package sssp
 
 import (
@@ -35,7 +36,8 @@ func Dijkstra(g *graph.Graph, src graph.NodeID) []float64 {
 }
 
 // Scratch holds the reusable buffers of repeated Dijkstra runs over graphs
-// of (up to) a fixed node count: the distance array and the lazy heap. The
+// of (up to) a fixed node count: the distance array and the indexed heap,
+// which holds each node at most once and so never carries stale entries. The
 // diameter sweeps (quotient diameter, ExactDiameter, LowerBound) run one
 // full Dijkstra per source; without a scratch every source pays an O(n)
 // allocation pair plus cold caches. A Scratch must not be shared between
@@ -94,37 +96,6 @@ func (sc *Scratch) DijkstraInto(g *graph.Graph, src graph.NodeID, dist []float64
 	}
 }
 
-// DijkstraTree computes distances and the shortest-path tree parent of each
-// node (parent[src] = src; parent of unreachable nodes = -1).
-func DijkstraTree(g *graph.Graph, src graph.NodeID) (dist []float64, parent []int32) {
-	n := g.NumNodes()
-	dist = make([]float64, n)
-	parent = make([]int32, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-	}
-	h := pq.NewFlatHeap(n)
-	dist[src] = 0
-	parent[src] = int32(src)
-	h.Push(int32(src), 0)
-	for h.Len() > 0 {
-		u, du := h.Pop()
-		if du > dist[u] {
-			continue
-		}
-		ts, ws := g.Neighbors(graph.NodeID(u))
-		for i, v := range ts {
-			if nd := du + ws[i]; nd < dist[v] {
-				dist[v] = nd
-				parent[v] = int32(u)
-				h.Push(int32(v), nd)
-			}
-		}
-	}
-	return dist, parent
-}
-
 // BellmanFord computes shortest-path distances from src by synchronous
 // (Jacobi-style) relaxation sweeps: every sweep relaxes all edges against
 // the previous sweep's distances, exactly as a parallel round would. It
@@ -180,49 +151,4 @@ func Eccentricity(dist []float64) (float64, graph.NodeID) {
 		return 0, 0
 	}
 	return best, arg
-}
-
-// NumEdgesOnShortestPaths returns ℓ, the maximum number of edges on any
-// minimum-weight path of the tree computed by DijkstraTree from src. It is
-// the realized value of the paper's ℓ_Δ parameter at Δ = ecc(src).
-func NumEdgesOnShortestPaths(g *graph.Graph, src graph.NodeID) int {
-	_, parent := DijkstraTree(g, src)
-	n := g.NumNodes()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	depth[src] = 0
-	maxDepth := 0
-	var walk func(v int) int32
-	walk = func(v int) int32 {
-		if depth[v] >= 0 {
-			return depth[v]
-		}
-		if parent[v] < 0 {
-			return 0
-		}
-		// Iterative unwinding to avoid deep recursion on path graphs.
-		var stack []int
-		u := v
-		for depth[u] < 0 {
-			stack = append(stack, u)
-			u = int(parent[u])
-		}
-		d := depth[u]
-		for i := len(stack) - 1; i >= 0; i-- {
-			d++
-			depth[stack[i]] = d
-		}
-		return depth[v]
-	}
-	for v := 0; v < n; v++ {
-		if parent[v] < 0 {
-			continue
-		}
-		if d := int(walk(v)); d > maxDepth {
-			maxDepth = d
-		}
-	}
-	return maxDepth
 }

@@ -20,15 +20,6 @@ func mustDeltaStepping(t testing.TB, g *graph.Graph, src graph.NodeID, delta flo
 	return res
 }
 
-func mustBellmanBSP(t testing.TB, g *graph.Graph, src graph.NodeID, e *bsp.Engine) DeltaResult {
-	t.Helper()
-	res, err := BellmanFordBSP(context.Background(), g, src, e)
-	if err != nil {
-		t.Fatalf("BellmanFordBSP: %v", err)
-	}
-	return res
-}
-
 func mustUpperBound(t testing.TB, g *graph.Graph, src graph.NodeID, delta float64, e *bsp.Engine) (float64, DeltaResult) {
 	t.Helper()
 	ub, res, err := DiameterUpperBound(context.Background(), g, src, delta, e)

@@ -44,23 +44,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraTreeParents(t *testing.T) {
-	g := gen.WeightedPath([]float64{1, 1, 1})
-	dist, parent := DijkstraTree(g, 0)
-	if parent[0] != 0 || parent[1] != 0 || parent[2] != 1 || parent[3] != 2 {
-		t.Fatalf("parents = %v", parent)
-	}
-	if dist[3] != 3 {
-		t.Fatalf("dist[3] = %v", dist[3])
-	}
-	// Unreachable parent is -1.
-	b := graph.NewBuilder(2, 0)
-	_, p2 := DijkstraTree(b.Build(), 0)
-	if p2[1] != -1 {
-		t.Fatalf("unreachable parent = %d", p2[1])
-	}
-}
-
 func TestBellmanFordMatchesDijkstra(t *testing.T) {
 	r := rng.New(21)
 	g := gen.UniformWeights(gen.GNM(60, 150, r), r)
@@ -97,19 +80,6 @@ func TestEccentricity(t *testing.T) {
 	ecc, _ = Eccentricity(Dijkstra(b.Build(), 0))
 	if ecc != 0 {
 		t.Fatalf("ecc of isolated source = %v", ecc)
-	}
-}
-
-func TestNumEdgesOnShortestPaths(t *testing.T) {
-	g := gen.Path(10)
-	if l := NumEdgesOnShortestPaths(g, 0); l != 9 {
-		t.Fatalf("path ℓ = %d, want 9", l)
-	}
-	if l := NumEdgesOnShortestPaths(gen.Star(10), 0); l != 1 {
-		t.Fatalf("star ℓ from center = %d, want 1", l)
-	}
-	if l := NumEdgesOnShortestPaths(gen.Star(10), 1); l != 2 {
-		t.Fatalf("star ℓ from leaf = %d, want 2", l)
 	}
 }
 
@@ -263,6 +233,30 @@ func TestDeltaSteppingProperty(t *testing.T) {
 				continue
 			}
 			if math.Abs(want[i]-seq.Dist[i]) > 1e-9 || math.Abs(want[i]-par.Dist[i]) > 1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: all four exact SSSP implementations — Dijkstra, sequential
+// Bellman–Ford, and sequential and parallel Δ-stepping — agree exactly on
+// integral weights, where every path sum is exact in float64.
+func TestAllSSSPImplementationsAgree(t *testing.T) {
+	check := func(seed uint64) bool {
+		r := rng.New(seed)
+		g := gen.IntegralUniformWeights(gen.GNM(60, 180, r), 50, r)
+		delta := SuggestDelta(g)
+		a := Dijkstra(g, 0)
+		b, _ := BellmanFord(g, 0)
+		c := DeltaSteppingSeq(g, 0, delta).Dist
+		d := mustDeltaStepping(t, g, 0, delta, bsp.New(2)).Dist
+		for i := range a {
+			if a[i] != b[i] || a[i] != c[i] || a[i] != d[i] {
 				return false
 			}
 		}
