@@ -41,18 +41,10 @@
 // quarantine/, daemon keeps serving). Sweep telemetry is reported by
 // GET /v2/datasets.
 //
-// -peers joins this daemon into a fixed fleet: pass every daemon's base
-// URL comma-separated in rank order (self included) and this daemon's
-// index as -worker-id. A fleet daemon answers POST /v2/distributed/jobs by
-// splitting the run's workers across all daemons over an HTTP BSP
-// transport — results and the paper's round/message/update accounting are
-// bit-identical to a single-process run with the same total worker count.
-// Graphs are resolved per daemon by name: combine with -data-dir and
-// -blob-url so every daemon adopts the identical dataset by content
-// address. -barrier-timeout bounds each superstep's wait for remote
-// frames.
-//
-// -peers also enables the fleet query plane (see internal/fleet): each
+// -peers joins this daemon into the fleet query plane (see
+// internal/fleet): pass every daemon's base URL comma-separated in rank
+// order (self included) and this daemon's index as -worker-id. Every
+// computation still runs on this daemon's own in-process BSP engine. Each
 // dataset name has a rendezvous-hash owner among the live daemons, any
 // daemon transparently proxies queries it does not own to the owner, and
 // results are shared through a fleet-wide cache keyed by dataset content
@@ -160,9 +152,8 @@ func main() {
 		datasetBudget = flag.String("dataset-budget", "", "catalog disk budget, e.g. 512M or 8G (empty = unlimited)")
 		blobURL       = flag.String("blob-url", "", "base URL of a shared snapshot blob tier, e.g. http://peer:8080 (requires -data-dir)")
 		verifyEvery   = flag.Duration("verify-interval", 0, "background integrity sweep interval, e.g. 30m (0 = disabled; requires -data-dir)")
-		peerList      = flag.String("peers", "", "comma-separated base URLs of every fleet daemon in rank order, self included (enables distributed runs and owner routing)")
+		peerList      = flag.String("peers", "", "comma-separated base URLs of every fleet daemon in rank order, self included (enables owner routing and the fleet cache)")
 		workerID      = flag.Int("worker-id", 0, "this daemon's rank in -peers")
-		barrierTO     = flag.Duration("barrier-timeout", 0, "per-superstep wait for remote BSP frames (0 = default 30s; requires -peers)")
 		probeEvery    = flag.Duration("probe-interval", 0, "fleet health-probe cadence (0 = default 5s; requires -peers)")
 		replicas      = flag.Int("replicas", 1, "read replication factor k: cached results are pushed to the top-k preference members and served from any of them (requires -peers for k>1)")
 		fleetConfig   = flag.String("fleet-config", "", "JSON placement-view file ({\"epoch\",\"members\"}) reloaded on SIGHUP to swap fleet membership at runtime (requires -peers)")
@@ -198,9 +189,6 @@ func main() {
 			logger.Fatalf("bad -peers: %v", err)
 		}
 	} else {
-		if *barrierTO != 0 {
-			logger.Fatalf("-barrier-timeout requires -peers")
-		}
 		if *probeEvery != 0 {
 			logger.Fatalf("-probe-interval requires -peers")
 		}
@@ -268,16 +256,10 @@ func main() {
 	}
 
 	var (
-		dist   *store.DistributedConfig
 		ftab   *fleet.Table
 		fcache *fleet.Cache
 	)
 	if len(peers) > 0 {
-		dist = &store.DistributedConfig{
-			Rank:           *workerID,
-			Peers:          peers,
-			BarrierTimeout: *barrierTO,
-		}
 		interval := *probeEvery
 		if interval == 0 {
 			interval = 5 * time.Second
@@ -304,7 +286,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		MaxJobs:        *maxJobs,
 		Catalog:        cat,
-		Distributed:    dist,
 		Metrics:        storeMetrics,
 		ChurnThreshold: *churnThresh,
 	}

@@ -220,6 +220,9 @@ func (c *Cache) PushSuccessor(key string, body []byte) bool {
 	return false
 }
 
+// Rank returns this node's rank in the table's current view.
+func (c *Cache) Rank() int { return c.t.Self() }
+
 // push enqueues one background best-effort push.
 func (c *Cache) push(base, key string, body []byte) {
 	c.mu.Lock()

@@ -210,9 +210,7 @@ func TestClassify(t *testing.T) {
 		{"POST", "/v2/datasets/usa%20road/append", Decision{Class: RouteDataset, Dataset: "usa road"}},
 		{"GET", "/v2/datasets/usa/append", Decision{Class: RouteLocal}},
 		{"GET", "/v2/cache/abc", Decision{Class: RouteLocal}},
-		{"POST", "/v2/bsp/frames", Decision{Class: RouteLocal}},
 		{"GET", "/v2/blobs", Decision{Class: RouteLocal}},
-		{"POST", "/v2/distributed/jobs", Decision{Class: RouteLocal}},
 		{"GET", "/healthz", Decision{Class: RouteLocal}},
 		{"GET", "/readyz", Decision{Class: RouteLocal}},
 		{"GET", "/v2/fleet", Decision{Class: RouteLocal}},

@@ -38,7 +38,7 @@ type RouteClass int
 
 const (
 	// RouteLocal requests must run on the receiving node (health, cache
-	// probes, the distributed BSP data plane, catalog administration).
+	// probes, blob transfers, catalog administration).
 	RouteLocal RouteClass = iota
 	// RouteDataset requests are placed by dataset name (Decision.Dataset,
 	// or peeked from the JSON body field Decision.BodyField).
@@ -102,9 +102,7 @@ func Classify(method, path string) Decision {
 		// deployment choice the router must not second-guess).
 		return Decision{Class: RouteLocal}
 	case strings.HasPrefix(path, "/v2/cache/"),
-		strings.HasPrefix(path, "/v2/bsp/"),
 		strings.HasPrefix(path, "/v2/blobs"),
-		strings.HasPrefix(path, "/v2/distributed"),
 		path == "/healthz", path == "/readyz",
 		path == "/v2/fleet", strings.HasPrefix(path, "/v2/fleet/"):
 		// Membership administration (/v2/fleet/config, /v2/fleet/drain)
@@ -120,7 +118,7 @@ func Classify(method, path string) Decision {
 func CostsJob(method, path string) bool {
 	return method == http.MethodPost &&
 		(path == "/v1/decompose" || path == "/v1/diameter" ||
-			path == "/v2/jobs" || path == "/v2/distributed/jobs")
+			path == "/v2/jobs")
 }
 
 // JobHomeRank extracts the home rank from a fleet-qualified job ID

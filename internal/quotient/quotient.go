@@ -6,8 +6,10 @@
 // distances d_u, the quotient graph G_C has one node per cluster and, for
 // every edge (u,v) of G with c_u ≠ c_v, an edge between the clusters of u
 // and v of weight w(u,v) + d_u + d_v (keeping the minimum over parallel
-// edges). The diameter estimate is Φ(G_C) + 2R, which is conservative:
-// it never underestimates Φ(G).
+// edges). The diameter estimate is Φ(G_C) + 2R. It is conservative — it
+// never underestimates Φ(G) — only while Φ(G_C) is exact, which Diameter
+// guarantees up to DiameterOptions.ExactThreshold quotient nodes; above
+// that Φ(G_C) is a sweep lower bound and so is not guaranteed to be.
 package quotient
 
 import (
@@ -25,6 +27,12 @@ import (
 // quotient and the original center node ID of each quotient node (quotient
 // node i corresponds to centers[i]). Edge deduplication runs in parallel on
 // e (one map round and one merge round in MR terms).
+//
+// e must be an in-process engine. The merge folds every worker's local
+// map, and on a distributed engine each peer fills only the maps of the
+// workers it owns, so the quotient would be missing edges. The distributed
+// engine reproduces the clustering phase and Δ-stepping, which is what the
+// transport-equivalence suites pin.
 func Build(g *graph.Graph, center []int32, dist []float64, e *bsp.Engine) (*graph.Graph, []graph.NodeID) {
 	n := g.NumNodes()
 	// Dense renumbering of centers.

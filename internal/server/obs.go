@@ -21,8 +21,7 @@ func normalizeRoute(path string) string {
 	}
 	switch p {
 	case "/v1/graphs", "/v1/decompose", "/v1/diameter", "/v1/stats",
-		"/v2/jobs", "/v2/datasets", "/v2/blobs", "/v2/bsp/frames",
-		"/v2/distributed/run", "/v2/distributed/jobs", "/v2/distributed",
+		"/v2/jobs", "/v2/datasets", "/v2/blobs",
 		"/v2/fleet", "/v2/fleet/config", "/v2/fleet/drain",
 		"/healthz", "/readyz", "/metrics":
 		return p

@@ -43,24 +43,20 @@
 //	PUT    /v2/blobs/{sha}     store a blob (verified before admission)
 //	DELETE /v2/blobs/{sha}     drop a blob's local copy
 //
-//	POST   /v2/bsp/frames      BSP frame delivery (distributed data plane;
-//	                           ?run=&step=&from=, raw body)
-//	POST   /v2/distributed/run  start this daemon's rank of a fleet run
-//	POST   /v2/distributed/jobs coordinate a fleet-wide computation and
-//	                           return the result
-//	GET    /v2/distributed     fleet membership (rank, peer URLs)
-//
 //	GET    /v2/cache/{key}     fleet result-cache probe (peer-to-peer)
 //	PUT    /v2/cache/{key}     fleet result-cache push (peer-to-peer)
 //	GET    /v2/fleet           query-plane membership + health; with
 //	                           ?dataset=<name>, that dataset's owner and
 //	                           failover chain
+//	POST   /v2/fleet/config    swap in a newer placement view
+//	POST   /v2/fleet/drain     drain this node and hand off its hot cache
 //
-// When Config.Fleet is set the server also owner-routes: a request
-// placed by dataset name (or by a job ID's home rank) whose rendezvous
-// owner is another live member is transparently proxied there, with
-// byte-identical responses, SSE streaming, and cancel-on-disconnect
-// preserved. See internal/fleet for the placement rules.
+// Every computation runs on an in-process BSP engine. When Config.Fleet
+// is set the server also owner-routes: a request placed by dataset name
+// (or by a job ID's home rank) whose rendezvous owner is another live
+// member is transparently proxied there, with byte-identical responses,
+// SSE streaming, and cancel-on-disconnect preserved. See internal/fleet
+// for the placement rules.
 //
 // Dataset routes (see datasets.go) require the daemon's -data-dir; a
 // graph name queried via /v1//v2 compute endpoints that is not resident
@@ -218,10 +214,6 @@ func New(st *store.Store, cfg Config) *Server {
 	bh := s.blobHandler()
 	s.mux.Handle("/v2/blobs", bh)
 	s.mux.Handle("/v2/blobs/", bh)
-	s.mux.HandleFunc("POST /v2/bsp/frames", s.handleBSPFrame)
-	s.mux.HandleFunc("POST /v2/distributed/run", s.handleDistributedRun)
-	s.mux.HandleFunc("POST /v2/distributed/jobs", s.handleDistributedJob)
-	s.mux.HandleFunc("GET /v2/distributed", s.handleDistributedInfo)
 	s.mux.HandleFunc("GET /v2/cache/{key}", s.handleFleetCacheGet)
 	s.mux.HandleFunc("PUT /v2/cache/{key}", s.handleFleetCachePut)
 	s.mux.HandleFunc("GET /v2/fleet", s.handleFleetInfo)

@@ -77,7 +77,6 @@ func newQueryFleet(t *testing.T, n int, withCatalog bool, opts ...fleetTestOptio
 		scfg := store.Config{
 			MaxConcurrent: 4,
 			FleetCache:    d.cache,
-			Distributed:   &store.DistributedConfig{Rank: i, Peers: urls},
 		}
 		cfg := Config{
 			Fleet:        tab,

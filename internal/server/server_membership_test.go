@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"graphdiam/internal/fleet"
+	"graphdiam/internal/gen"
 	"graphdiam/internal/store"
 )
 
@@ -100,6 +103,54 @@ func TestFleetConfigEndpoint(t *testing.T) {
 	}
 	if e := ds[0].tab.Epoch(); e != 2 {
 		t.Errorf("epoch after refused orphan push = %d, want 2 (old view kept)", e)
+	}
+}
+
+// TestJobHomeAfterReorderedView: a job ID carries the rank of its home
+// node in the view current at submission, which is the view routing
+// resolves it against. After an epoch-2 view that reverses the member
+// order, a job submitted on one node must still be found through the
+// other.
+func TestJobHomeAfterReorderedView(t *testing.T) {
+	ds := newQueryFleet(t, 2, false)
+	g, err := gen.FromSpec("mesh:8", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := memberURLs(ds[0].tab)
+	reversed := fleet.View{Epoch: 2, Members: []string{urls[1], urls[0]}}
+	for _, d := range ds {
+		if err := d.tab.SwapView(reversed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.st.AddGraph("g", g, "test"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Submit on the graph's owner so the job stays there; ds is in boot
+	// order, so find the owner by URL, not by its rank in the new view.
+	m, ok := ds[0].tab.Owner("g")
+	if !ok {
+		t.Fatal("no owner for g")
+	}
+	home, other := ds[0], ds[1]
+	if home.url != m.URL {
+		home, other = other, home
+	}
+
+	code, raw, _ := rawPost(t, home.url+"/v2/jobs", map[string]any{"op": "decompose", "graph": "g", "seed": 5}, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", code, raw)
+	}
+	var view store.JobView
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if code, raw, _ := rawGet(t, other.url+"/v2/jobs/"+view.ID, nil); code != http.StatusOK {
+		t.Fatalf("GET %s via the other node: status %d: %s", view.ID, code, raw)
+	}
+	if want := fmt.Sprintf("job-r%d-", m.Rank); !strings.HasPrefix(view.ID, want) {
+		t.Errorf("job id %q, want prefix %q (the home's rank in the current view)", view.ID, want)
 	}
 }
 

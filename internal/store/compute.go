@@ -60,26 +60,16 @@ func (p Params) canonical(op string) string {
 }
 
 // options translates Params into core options, or an error for
-// inconsistent combinations.
+// inconsistent combinations. The options carry a fresh in-process engine
+// of Workers workers; whoever runs them owns closing it.
 func (p Params) options() (core.Options, error) {
-	return p.optionsFor(nil)
-}
-
-// optionsFor is options with an externally built engine — the distributed
-// path injects a network-backed engine; nil builds the usual single-process
-// one from Workers.
-func (p Params) optionsFor(e *bsp.Engine) (core.Options, error) {
 	if p.Cluster2 && p.WeightOblivious {
 		return core.Options{}, fmt.Errorf("store: cluster2 and weightOblivious are mutually exclusive")
-	}
-	if e == nil {
-		e = bsp.New(p.Workers)
 	}
 	o := core.Options{
 		Tau:     p.Tau,
 		Seed:    p.Seed,
 		StepCap: p.StepCap,
-		Engine:  e,
 	}
 	switch strings.ToLower(p.DeltaInit) {
 	case "", "avg":
@@ -95,6 +85,7 @@ func (p Params) optionsFor(e *bsp.Engine) (core.Options, error) {
 	default:
 		return core.Options{}, fmt.Errorf("store: unknown deltaInit %q (want avg, min, or fixed)", p.DeltaInit)
 	}
+	o.Engine = bsp.New(p.Workers)
 	return o, nil
 }
 
@@ -169,13 +160,6 @@ func (s *Store) runDecompose(ctx context.Context, name string, g *graph.Graph, p
 	if err != nil {
 		return DecomposeResult{}, err
 	}
-	return s.decomposeWith(ctx, name, g, p, o, progress)
-}
-
-// decomposeWith runs the decomposition selected by p on a prepared options
-// value (whose Engine may be distributed) and owns closing its engine.
-func (s *Store) decomposeWith(ctx context.Context, name string, g *graph.Graph, p Params, o core.Options, progress core.ProgressFunc) (DecomposeResult, error) {
-	var err error
 	defer o.Engine.Close() // release the persistent worker pool with the run
 	o.Engine.SetTracer(s.cfg.Metrics.Tracer())
 	o.Progress = progress
@@ -248,12 +232,6 @@ func (s *Store) runDiameter(ctx context.Context, name string, g *graph.Graph, p 
 	if err != nil {
 		return DiameterResult{}, err
 	}
-	return s.diameterWith(ctx, name, g, p, o, progress)
-}
-
-// diameterWith runs CL-DIAM on a prepared options value (whose Engine may be
-// distributed) and owns closing its engine.
-func (s *Store) diameterWith(ctx context.Context, name string, g *graph.Graph, p Params, o core.Options, progress core.ProgressFunc) (DiameterResult, error) {
 	defer o.Engine.Close() // release the persistent worker pool with the run
 	o.Engine.SetTracer(s.cfg.Metrics.Tracer())
 	o.Progress = progress

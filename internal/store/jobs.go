@@ -201,10 +201,12 @@ func (s *Store) submitJob(kind JobKind, graphName string, p Params) (*job, JobVi
 	s.nextJob++
 	// Fleet members mint rank-qualified IDs ("job-r<rank>-<seq>") so the
 	// routing layer can send /v2/jobs/{id} requests home to the node that
-	// owns the job's registry entry and event stream.
+	// owns the job's registry entry and event stream. The rank is read
+	// from the current placement view, the same view routing resolves it
+	// against.
 	id := fmt.Sprintf("job-%06d", s.nextJob)
-	if dc := s.cfg.Distributed; dc != nil {
-		id = fmt.Sprintf("job-r%d-%06d", dc.Rank, s.nextJob)
+	if fc := s.cfg.FleetCache; fc != nil {
+		id = fmt.Sprintf("job-r%d-%06d", fc.Rank(), s.nextJob)
 	}
 	j := &job{
 		id:      id,

@@ -44,10 +44,8 @@ type Metrics struct {
 // this package (not obs) so bsp's structural-interface seam keeps both
 // bsp and obs free of each other.
 type engineTracer struct {
-	compute   *obs.Histogram
-	barrier   *obs.Histogram
-	comm      *obs.Histogram
-	allreduce *obs.Histogram
+	compute *obs.Histogram
+	barrier *obs.Histogram
 }
 
 func (t *engineTracer) ObserveSuperstep(compute, barrier time.Duration) {
@@ -55,9 +53,10 @@ func (t *engineTracer) ObserveSuperstep(compute, barrier time.Duration) {
 	t.barrier.ObserveDuration(barrier)
 }
 
-func (t *engineTracer) ObserveComm(d time.Duration) { t.comm.ObserveDuration(d) }
-
-func (t *engineTracer) ObserveAllreduce(d time.Duration) { t.allreduce.ObserveDuration(d) }
+// ObserveComm and ObserveAllreduce are no-ops: only a distributed engine
+// reports them, and the store runs every computation in process.
+func (t *engineTracer) ObserveComm(time.Duration)      {}
+func (t *engineTracer) ObserveAllreduce(time.Duration) {}
 
 // NewMetrics registers the graphdiam_store_* and graphdiam_bsp_* families
 // on r and returns the bundle to pass as Config.Metrics.
@@ -99,10 +98,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 				"Per-superstep compute time (worker 0's busy time).", obs.FastBuckets),
 			barrier: r.Histogram("graphdiam_bsp_superstep_barrier_seconds",
 				"Per-superstep barrier wait (time for the slowest worker to finish).", obs.FastBuckets),
-			comm: r.Histogram("graphdiam_bsp_comm_seconds",
-				"Distributed transport exchange latency (mailbox deliveries and collectives).", obs.DefBuckets),
-			allreduce: r.Histogram("graphdiam_bsp_allreduce_seconds",
-				"Scalar collective latency (global sums, ORs, argmins, snapshot checks).", obs.DefBuckets),
 		},
 	}
 }

@@ -10,7 +10,7 @@
 // LRU; identical queries hit the cache, and identical queries arriving
 // concurrently share a single underlying BSP run — the followers block
 // until the leader's run completes and then all return the same result.
-// Distinct computations run on their own bsp.Engine, but a global
+// Distinct computations run on their own in-process bsp.Engine, but a global
 // semaphore caps how many engines execute at once so a burst of distinct
 // queries cannot oversubscribe the host.
 //
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"graphdiam/internal/bsp"
-	"graphdiam/internal/bsp/transport"
 	"graphdiam/internal/dataset"
 	"graphdiam/internal/graph"
 )
@@ -64,10 +63,6 @@ type Config struct {
 	// per-name singleflight before the query proceeds. Nil keeps the
 	// registry memory-only.
 	Catalog *dataset.Catalog
-	// Distributed, when non-nil, makes this daemon one rank of a fixed
-	// fleet: decompositions can be split across the fleet's daemons over
-	// the HTTP BSP transport. Nil keeps the daemon single-node.
-	Distributed *DistributedConfig
 	// FleetCache, when non-nil, extends the result cache fleet-wide for
 	// dataset-backed graphs: a local miss probes peers before computing,
 	// and a fresh result is pushed to the cache key's owner. Keys are
@@ -99,6 +94,9 @@ type FleetCache interface {
 	// live non-self member of the key's preference chain — the drain
 	// path's cache pre-warming. Reports whether a successor accepted it.
 	PushSuccessor(key string, body []byte) bool
+	// Rank is this node's rank in the current placement view. Job IDs
+	// embed it so the routing layer can send /v2/jobs/{id} home.
+	Rank() int
 }
 
 func (c Config) withDefaults() Config {
@@ -207,10 +205,6 @@ type Store struct {
 	cfg Config
 	sem chan struct{} // compute slots
 
-	// bspReg buffers inbound BSP frames for distributed runs; the server
-	// layer delivers /v2/bsp/frames bodies into it.
-	bspReg *transport.Registry
-
 	// baseCtx parents every job's context; Close cancels it, aborting all
 	// running jobs at their next superstep barrier.
 	baseCtx    context.Context
@@ -249,7 +243,6 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:        cfg,
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
-		bspReg:     transport.NewRegistry(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		graphs:     make(map[string]*graphEntry),
