@@ -35,6 +35,11 @@ type Clustering struct {
 	MaxPartialGrowthSteps int
 	// Metrics is the cost snapshot accumulated during the run.
 	Metrics bsp.Snapshot
+
+	// edgeScans counts the adjacency entries the growing steps' send halves
+	// walked on this process — physical work, not a paper metric, so it
+	// stays out of Metrics.
+	edgeScans int64
 }
 
 // NumClusters returns the number of clusters.
@@ -145,7 +150,7 @@ func Cluster(ctx context.Context, g *graph.Graph, opts Options) (*Clustering, er
 			}
 		}
 		st.beginStageProxies(stage, false, 0)
-		st.reseedFrontier()
+		st.reseedFrontier(stage)
 
 		reached := newCenters
 		half := float64(uncovered) / 2
@@ -185,7 +190,7 @@ func Cluster(ctx context.Context, g *graph.Graph, opts Options) (*Clustering, er
 				break // remaining uncovered nodes unreachable at any Δ
 			}
 			delta *= 2
-			st.reseedFrontier()
+			st.reseedFrontier(stage)
 		}
 		covered := st.finishStage(stage)
 		uncovered -= covered
@@ -231,6 +236,7 @@ func buildClustering(st *growState, stages int, deltaEnd float64, steps int64, m
 		DeltaEnd:     deltaEnd,
 		GrowingSteps: steps,
 		Metrics:      m,
+		edgeScans:    st.edgeScans,
 	}
 	c.Radius = st.radius()
 	seen := make([]bool, n)

@@ -74,7 +74,7 @@ func Cluster2(ctx context.Context, g *graph.Graph, opts Options) (*Cluster2Resul
 		}
 		newCenters := st.selectCenters(o.Seed+1, stage, p)
 		st.beginStageProxies(stage, true, threshold)
-		st.reseedFrontier()
+		st.reseedFrontier(stage)
 		reached := newCenters
 		for {
 			changed, newly := st.growStep(threshold, stage)

@@ -216,6 +216,34 @@ func TestClusterMetricsAccounted(t *testing.T) {
 	}
 }
 
+// TestInteriorProxiesRetire bounds the physical work of the growing steps:
+// once interior proxies retire, the send halves scan at most two adjacency
+// entries per logical message, and the scan count — like every metric — is
+// the same at any worker count.
+func TestInteriorProxiesRetire(t *testing.T) {
+	g, err := gen.FromSpec("road:160", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau := TauForQuotientTarget(g.NumNodes(), 2000)
+	var scans []int64
+	for _, workers := range []int{1, 4} {
+		e := bsp.New(workers)
+		cl := mustCluster(t, g, Options{Tau: tau, Seed: 1, Engine: e})
+		e.Close()
+		ratio := float64(cl.edgeScans) / float64(cl.Metrics.Messages)
+		t.Logf("workers=%d: %d edge scans, %d messages (%.2f×)",
+			workers, cl.edgeScans, cl.Metrics.Messages, ratio)
+		if ratio > 2 {
+			t.Fatalf("workers=%d: %.2f edge scans per message, want ≤ 2", workers, ratio)
+		}
+		scans = append(scans, cl.edgeScans)
+	}
+	if scans[0] != scans[1] {
+		t.Fatalf("edge scans differ across worker counts: %d vs %d", scans[0], scans[1])
+	}
+}
+
 func TestClusterIndexDense(t *testing.T) {
 	r := rng.New(19)
 	g := gen.UniformWeights(gen.GNM(80, 200, r), r)

@@ -40,6 +40,7 @@ type growState struct {
 	totalD       []float64 // weight of a realized path center→node
 	coveredStage []int32   // stage of coverage, -1 if uncovered
 	queued       []bool    // membership in the next frontier
+	retired      []bool    // interior proxy: never queued again (see reseedFrontier)
 
 	frontiers [][]int32 // per-worker current frontier (global IDs, owned)
 	nextFront [][]int32
@@ -49,6 +50,8 @@ type growState struct {
 	// per-round accumulators (written via the engine, read after barriers)
 	roundUpdates []int64
 	roundNewly   []int64
+	roundScans   []int64
+	edgeScans    int64 // run total of roundScans; see Clustering.edgeScans
 }
 
 // coalesceMessages gates sender-side mailbox coalescing; the equivalence
@@ -63,6 +66,14 @@ func lessGrow(a, b growMsg) bool {
 	return a.sd < b.sd || (a.sd == b.sd && a.center < b.center)
 }
 
+// improves reports whether candidate (sd, c) beats v's current (stageD,
+// center) under the paper's tie-break: the owner's acceptance test, which
+// the send half also applies to skip relaxations the owner would reject.
+func (st *growState) improves(v int, sd float64, c int32) bool {
+	dv, cv := st.stageD[v], st.center[v]
+	return sd < dv || (sd == dv && (cv < 0 || c < cv))
+}
+
 func newGrowState(g *graph.Graph, e *bsp.Engine) *growState {
 	n := g.NumNodes()
 	P := e.Workers()
@@ -73,12 +84,14 @@ func newGrowState(g *graph.Graph, e *bsp.Engine) *growState {
 		totalD:       make([]float64, n),
 		coveredStage: make([]int32, n),
 		queued:       make([]bool, n),
+		retired:      make([]bool, n),
 		frontiers:    make([][]int32, P),
 		nextFront:    make([][]int32, P),
 		mail:         bsp.NewCoalescingMailboxes[growMsg](P, n, lessGrow),
 		route:        e.Router(n),
 		roundUpdates: make([]int64, P),
 		roundNewly:   make([]int64, P),
+		roundScans:   make([]int64, P),
 	}
 	st.mail.SetPassthrough(!coalesceMessages)
 	for i := 0; i < n; i++ {
@@ -205,19 +218,50 @@ func (st *growState) beginStageProxies(stage int, carry bool, rescale float64) {
 	})
 }
 
+// frozen reports whether u was covered before stage: a contracted proxy
+// whose state no growing step of this stage may change.
+func (st *growState) frozen(u int, stage int32) bool {
+	cs := st.coveredStage[u]
+	return cs >= 0 && cs < stage
+}
+
 // reseedFrontier loads every node with a finite stage potential into the
 // frontier of its owner, so the next growing step relaxes from all cluster
-// boundaries. One metered round.
-func (st *growState) reseedFrontier() {
+// boundaries. A frozen proxy whose neighbours are all frozen too is retired
+// instead: each of its edges joins two nodes covered in earlier stages —
+// exactly the edges Procedure Contract deletes — so it can never send, and
+// since coverage only grows it stays interior for the rest of the run. The
+// walk stays ascending because frontier order fixes mailbox arrival order,
+// which keeps the update counts bit-identical per worker count. coveredStage
+// values below stage are synced at stage boundaries, so the cross-partition
+// neighbour reads agree on every peer. One metered round.
+func (st *growState) reseedFrontier(stage int) {
+	s := int32(stage)
 	st.e.Superstep(st.n, func(w, start, end int) {
 		f := st.frontiers[w][:0]
 		for u := start; u < end; u++ {
-			if !math.IsInf(st.stageD[u], 1) {
-				f = append(f, int32(u))
+			if st.retired[u] || math.IsInf(st.stageD[u], 1) {
+				continue
 			}
+			if st.frozen(u, s) && st.interior(u, s) {
+				st.retired[u] = true
+				continue
+			}
+			f = append(f, int32(u))
 		}
 		st.frontiers[w] = f
 	})
+}
+
+// interior reports whether every neighbour of u is frozen at stage.
+func (st *growState) interior(u int, stage int32) bool {
+	ts, _ := st.g.Neighbors(graph.NodeID(u))
+	for _, v := range ts {
+		if !st.frozen(int(v), stage) {
+			return false
+		}
+	}
+	return true
 }
 
 // growStep performs one Δ-growing step (one metered round): every frontier
@@ -231,13 +275,21 @@ func (st *growState) reseedFrontier() {
 func (st *growState) growStep(delta float64, stage int) (changed bool, newly int64) {
 	e := st.e
 	n := st.n
+	s := int32(stage)
 	// Send half: generate relaxation requests. Edges whose two endpoints
 	// were both covered in earlier stages do not exist in the contracted
 	// graph (Procedure Contract removes them), so they generate no
-	// messages; coveredStage is read-only during growth, making the
-	// cross-partition read safe.
+	// messages. A candidate that does not beat the target's current
+	// (stageD, center) is metered as a logical message but never enqueued,
+	// because the owner would reject it on arrival: nothing writes
+	// coveredStage, stageD or center during the send half (so these
+	// cross-partition reads are race-free), and the owner's state only
+	// decreases lexicographically while it applies the step — the argument
+	// that makes coalescing invisible. On a distributed engine a remote
+	// target's local copy is never below the owner's (its initial +Inf/-1,
+	// or forceCenter's replicated value), so there the prune drops a subset.
 	e.ParallelFor(n, func(w, _, _ int) {
-		var sent int64
+		var sent, scans int64
 		st.mail.BeginSend(w)
 		for _, ui := range st.frontiers[w] {
 			u := int(ui)
@@ -249,6 +301,7 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 			cu := st.center[u]
 			tu := st.totalD[u]
 			ts, ws := st.g.Neighbors(graph.NodeID(u))
+			scans += int64(len(ts))
 			for i, v := range ts {
 				step := ws[i]
 				if st.unitGrowth {
@@ -258,14 +311,16 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 				if cand > delta {
 					continue
 				}
-				cs := st.coveredStage[v]
-				if cs >= 0 && cs < int32(stage) {
+				if st.frozen(int(v), s) {
 					continue // target contracted away (frozen)
 				}
-				st.mail.Send(w, st.route.Owner(v), int32(v), growMsg{v, cu, cand, tu + ws[i]})
 				sent++
+				if st.improves(int(v), cand, cu) {
+					st.mail.Send(w, st.route.Owner(v), int32(v), growMsg{v, cu, cand, tu + ws[i]})
+				}
 			}
 		}
+		st.roundScans[w] = scans
 		if sent > 0 {
 			e.Metrics().AddMessages(sent) // logical relaxations, pre-coalescing
 		}
@@ -282,15 +337,13 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 		nf := st.nextFront[w][:0]
 		st.mail.Recv(w, func(m growMsg) {
 			v := int(m.node)
-			cs := st.coveredStage[v]
-			if cs >= 0 && cs < int32(stage) {
+			if st.frozen(v, s) {
 				return // frozen: contracted into its center
 			}
-			dv := st.stageD[v]
-			if m.sd > dv || (m.sd == dv && (st.center[v] >= 0 && m.center >= st.center[v])) {
+			if !st.improves(v, m.sd, m.center) {
 				return
 			}
-			if math.IsInf(dv, 1) {
+			if math.IsInf(st.stageD[v], 1) {
 				reached++
 			}
 			st.stageD[v] = m.sd
@@ -316,6 +369,7 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 	for w := lo; w < hi; w++ { // remote workers' slots are stale locally
 		updates += st.roundUpdates[w]
 		newly += st.roundNewly[w]
+		st.edgeScans += st.roundScans[w]
 	}
 	updates, newly = e.GlobalSum2(updates, newly)
 	st.frontiers, st.nextFront = st.nextFront, st.frontiers

@@ -58,7 +58,7 @@ func ClusterUnweighted(ctx context.Context, g *graph.Graph, opts Options) (*Clus
 			}
 		}
 		st.beginStageProxies(stage, false, 0)
-		st.reseedFrontier()
+		st.reseedFrontier(stage)
 
 		reached := newCenters
 		half := float64(uncovered) / 2

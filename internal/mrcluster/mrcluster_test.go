@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"graphdiam/internal/bsp"
+	"graphdiam/internal/cc"
 	"graphdiam/internal/core"
 	"graphdiam/internal/gen"
 	"graphdiam/internal/graph"
@@ -27,33 +29,44 @@ func mustCoreCluster(t testing.TB, g *graph.Graph, o core.Options) *core.Cluster
 func TestMatchesBSPImplementation(t *testing.T) {
 	// The heart of this package: the MR-model implementation and the BSP
 	// implementation must produce the identical clustering for identical
-	// (graph, τ, seed).
+	// (graph, τ, seed). The unit-weight mesh and torus make every candidate
+	// tie, exercising the (distance, center) tie-break on both the BSP send
+	// and apply sides; the R-MAT component's hubs keep uncovered neighbours,
+	// so its proxies stay on the frontier instead of retiring.
 	r := rng.New(61)
+	rmat, _ := cc.LargestComponent(gen.UniformWeights(gen.RMatDefault(10, r), r))
 	graphs := map[string]*graph.Graph{
-		"mesh": gen.UniformWeights(gen.Mesh(12), r),
-		"gnm":  gen.UniformWeights(gen.GNM(200, 600, r), r),
-		"road": gen.RoadNetwork(gen.DefaultRoadNetworkOptions(14), r),
-		"path": gen.Path(100),
+		"mesh":       gen.UniformWeights(gen.Mesh(12), r),
+		"gnm":        gen.UniformWeights(gen.GNM(200, 600, r), r),
+		"road":       gen.RoadNetwork(gen.DefaultRoadNetworkOptions(14), r),
+		"path":       gen.Path(100),
+		"unit-mesh":  gen.Mesh(16),
+		"unit-torus": gen.Torus(12),
+		"rmat-lcc":   rmat,
 	}
 	for name, g := range graphs {
 		for _, tau := range []int{2, 8, 32} {
-			bspCl := mustCoreCluster(t, g, core.Options{Tau: tau, Seed: 5})
 			mrCl := Cluster(g, Options{Tau: tau, Seed: 5, Workers: 2})
-			if bspCl.Radius != mrCl.Radius {
-				t.Fatalf("%s τ=%d: radius %v vs %v", name, tau, bspCl.Radius, mrCl.Radius)
-			}
-			for u := range mrCl.Center {
-				if bspCl.Center[u] != mrCl.Center[u] {
-					t.Fatalf("%s τ=%d node %d: center %d vs %d",
-						name, tau, u, bspCl.Center[u], mrCl.Center[u])
+			for _, workers := range []int{1, 4} {
+				e := bsp.New(workers)
+				bspCl := mustCoreCluster(t, g, core.Options{Tau: tau, Seed: 5, Engine: e})
+				e.Close()
+				if bspCl.Radius != mrCl.Radius {
+					t.Fatalf("%s τ=%d P=%d: radius %v vs %v", name, tau, workers, bspCl.Radius, mrCl.Radius)
 				}
-				if bspCl.Dist[u] != mrCl.Dist[u] {
-					t.Fatalf("%s τ=%d node %d: dist %v vs %v",
-						name, tau, u, bspCl.Dist[u], mrCl.Dist[u])
+				for u := range mrCl.Center {
+					if bspCl.Center[u] != mrCl.Center[u] {
+						t.Fatalf("%s τ=%d P=%d node %d: center %d vs %d",
+							name, tau, workers, u, bspCl.Center[u], mrCl.Center[u])
+					}
+					if bspCl.Dist[u] != mrCl.Dist[u] {
+						t.Fatalf("%s τ=%d P=%d node %d: dist %v vs %v",
+							name, tau, workers, u, bspCl.Dist[u], mrCl.Dist[u])
+					}
 				}
-			}
-			if bspCl.Stages != mrCl.Stages {
-				t.Fatalf("%s τ=%d: stages %d vs %d", name, tau, bspCl.Stages, mrCl.Stages)
+				if bspCl.Stages != mrCl.Stages {
+					t.Fatalf("%s τ=%d P=%d: stages %d vs %d", name, tau, workers, bspCl.Stages, mrCl.Stages)
+				}
 			}
 		}
 	}

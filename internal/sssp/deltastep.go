@@ -210,6 +210,14 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, src graph.NodeID, delta 
 	// relaxPhase relaxes the light (light=true) or heavy edges of the
 	// per-worker node lists (global IDs), routing requests to owners which
 	// apply them. One metered round.
+	//
+	// A request that does not beat dist[v] is metered as a logical message
+	// but never enqueued: nothing writes dist during the send half, so the
+	// cross-partition read is race-free, and dist only decreases while the
+	// owner applies, so the owner would reject it on arrival anyway. On a
+	// distributed engine a remote node's local copy stays at +Inf (or the
+	// replicated source 0), never below the owner's, so the prune there
+	// only drops fewer messages.
 	relaxPhase := func(lists [][]int32, light bool) {
 		e.ParallelFor(n, func(w, _, _ int) {
 			var sent int64
@@ -222,8 +230,10 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, src graph.NodeID, delta 
 					if (wt <= delta) != light {
 						continue
 					}
-					mail.Send(w, route.Owner(v), int32(v), relaxReq{v, du + wt})
 					sent++
+					if nd := du + wt; nd < dist[v] {
+						mail.Send(w, route.Owner(v), int32(v), relaxReq{v, nd})
+					}
 				}
 			}
 			if sent > 0 {
