@@ -60,10 +60,10 @@ type DiamResult struct {
 // guarantee; `cmd/experiments -scale test` measures the ratios here (see
 // the experiment index in DESIGN.md).
 //
-// opts.Engine must be in-process: quotient.Build merges per-worker edge
-// maps, and a distributed engine's peer holds only the maps of the workers
-// it owns. The distributed engine reproduces the clustering phase and
-// Δ-stepping, which is what the transport-equivalence suites pin.
+// opts.Engine must be in-process: quotient.Build assembles every worker's
+// quotient rows, and a distributed engine's peer builds only the rows of
+// the workers it owns. The distributed engine reproduces the clustering
+// phase and Δ-stepping, which is what the transport-equivalence suites pin.
 //
 // Cancellation of ctx is observed at superstep barriers throughout the
 // decomposition and between the quotient phases; a cancelled run returns

@@ -529,46 +529,8 @@ func VerifySnapshot(path string) (Header, error) {
 	if err := ld.Graph.ValidateCSR(); err != nil {
 		return Header{}, fmt.Errorf("dataset: %s: %w", path, err)
 	}
-	if err := verifyStats(ld.Graph, h.Stats); err != nil {
-		return Header{}, fmt.Errorf("dataset: %s: %w", path, err)
+	if got := graph.ComputeStats(ld.Graph.RawCSR()); got != h.Stats {
+		return Header{}, fmt.Errorf("dataset: %s: cached stats %+v disagree with recomputation %+v", path, h.Stats, got)
 	}
 	return h, nil
-}
-
-// verifyStats recomputes the summary statistics from the arrays and
-// compares them with the header's cached copy.
-func verifyStats(g *graph.Graph, want graph.Stats) error {
-	got := graph.Stats{
-		NumNodes:  g.NumNodes(),
-		NumEdges:  g.NumEdges(),
-		MinWeight: math.Inf(1),
-		MaxWeight: math.Inf(-1),
-	}
-	sum := 0.0
-	slots := 0
-	for u := 0; u < got.NumNodes; u++ {
-		ts, ws := g.Neighbors(graph.NodeID(u))
-		if d := len(ts); d > got.MaxDegree {
-			got.MaxDegree = d
-		}
-		for _, w := range ws {
-			if w < got.MinWeight {
-				got.MinWeight = w
-			}
-			if w > got.MaxWeight {
-				got.MaxWeight = w
-			}
-			sum += w
-			slots++
-		}
-	}
-	if slots == 0 {
-		got.MinWeight, got.MaxWeight = 0, 0
-	} else {
-		got.AvgWeight = sum / float64(slots)
-	}
-	if got != want {
-		return fmt.Errorf("dataset: cached stats %+v disagree with recomputation %+v", want, got)
-	}
-	return nil
 }

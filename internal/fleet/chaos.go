@@ -14,11 +14,13 @@ import (
 // ChaosTransport is a deterministic fault-injecting http.RoundTripper —
 // PR 6's seeded-fault philosophy applied to the query plane. Every fault
 // decision is a pure function of (seed, request key, per-key attempt
-// number): the same seed replays the exact same drop/500/cut/delay
-// schedule, so a chaos test that passes once passes always, and a
-// failure reproduces from its seed alone. The request key is
-// method+host+path, so retries of the same logical call advance through
-// the schedule while unrelated calls stay independent.
+// number). The request key is method+host+path, so retries of the same
+// logical call advance through the schedule while unrelated calls stay
+// independent. A seed therefore replays the exact same drop/500/cut/delay
+// schedule only for fixed hosts: against an httptest server, whose port
+// changes every run, one seed is a different schedule each time. A test
+// that asserts on the schedule serves its peers from an in-process Base
+// under a fixed host.
 type ChaosTransport struct {
 	// Base performs the real requests; nil selects http.DefaultTransport.
 	Base http.RoundTripper

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -423,16 +424,27 @@ func TestCacheUnderChaos(t *testing.T) {
 	}
 }
 
+// roundTripFunc serves requests in process, with no socket.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
 // TestProberUnderChaos: seeded faults on the probe path flip liveness in
 // a bounded way — the hysteresis keeps a healthy-but-chaotic peer from
-// oscillating every sweep, and the sweep itself never hangs.
+// oscillating every sweep, and the sweep itself never hangs. The peer is
+// served in process under a fixed host: the fault schedule is keyed by
+// host, so only then does seed 7 replay the same schedule on every run.
 func TestProberUnderChaos(t *testing.T) {
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer peer.Close()
-	chaos := &ChaosTransport{Seed: 7, DropProb: 0.3}
-	tab, err := NewTable([]string{peer.URL, "http://b:1"}, 1, TableOptions{
+	healthy := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		return &http.Response{
+			StatusCode: http.StatusOK,
+			Header:     http.Header{},
+			Body:       io.NopCloser(strings.NewReader("")),
+			Request:    r,
+		}, nil
+	})
+	chaos := &ChaosTransport{Base: healthy, Seed: 7, DropProb: 0.3}
+	tab, err := NewTable([]string{"http://a:1", "http://b:1"}, 1, TableOptions{
 		FlipThreshold: 2,
 		ProbeTimeout:  time.Second,
 		Client:        &http.Client{Transport: chaos, Timeout: time.Second},
@@ -440,22 +452,24 @@ func TestProberUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flips, wasLive := 0, false
+	var flips []int // sweeps after which rank 0's liveness changed
+	wasLive := false
 	for i := 0; i < 24; i++ {
 		tab.ProbeOnce(context.Background())
 		if live := tab.Live(0); live != wasLive {
-			flips++
+			flips = append(flips, i)
 			wasLive = live
 		}
 	}
 	// With p=0.3 drops and threshold 2, a down-flip needs two consecutive
-	// drops (p≈0.09 per sweep); hysteresis must keep flips well below the
-	// sweep count.
-	if flips > 8 {
-		t.Errorf("chaotic probes flipped liveness %d times in 24 sweeps — hysteresis not damping", flips)
+	// drops (p≈0.09 per sweep). Seed 7 drops 5 of the 24 probes, never two
+	// in a row: the peer comes up on the first sweep and hysteresis keeps
+	// it up through every drop.
+	if got := chaos.Faults(); got != 5 {
+		t.Errorf("seed 7 injected %d drops in 24 probes, want 5", got)
 	}
-	if !tab.Live(0) && flips == 0 {
-		t.Error("peer never came up under 0.3 drop rate")
+	if want := []int{0}; !slices.Equal(flips, want) {
+		t.Errorf("seed 7 flipped liveness after sweeps %v, want %v", flips, want)
 	}
 }
 

@@ -96,21 +96,19 @@ type Stats struct {
 // read them in O(1) instead of rescanning all 2m edge slots.
 func (g *Graph) Stats() Stats { return g.stats }
 
-// computeStats fills the cached statistics; called once by Build.
-func (g *Graph) computeStats() {
-	s := Stats{
-		NumNodes:  g.NumNodes(),
-		NumEdges:  g.NumEdges(),
-		MinWeight: math.Inf(1),
-		MaxWeight: math.Inf(-1),
+// ComputeStats computes the summary statistics of CSR arrays laid out as
+// RawCSR returns them. Weights are summed in slot order, so two graphs with
+// bit-identical arrays get bit-identical Stats. Builder.Build caches its
+// result in the graph; callers that assemble CSR arrays themselves pass it
+// to FromCSR, and snapshot verification compares it with a stored copy.
+func ComputeStats(offsets []int64, targets []NodeID, weights []float64) Stats {
+	s := Stats{NumNodes: len(offsets) - 1, NumEdges: len(targets) / 2}
+	if len(weights) == 0 {
+		return s
 	}
-	if len(g.weights) == 0 {
-		s.MinWeight, s.MaxWeight = 0, 0
-		g.stats = s
-		return
-	}
+	s.MinWeight, s.MaxWeight = math.Inf(1), math.Inf(-1)
 	sum := 0.0
-	for _, w := range g.weights {
+	for _, w := range weights {
 		if w < s.MinWeight {
 			s.MinWeight = w
 		}
@@ -119,13 +117,13 @@ func (g *Graph) computeStats() {
 		}
 		sum += w
 	}
-	s.AvgWeight = sum / float64(len(g.weights))
+	s.AvgWeight = sum / float64(len(weights))
 	for u := 0; u < s.NumNodes; u++ {
-		if d := g.Degree(NodeID(u)); d > s.MaxDegree {
+		if d := int(offsets[u+1] - offsets[u]); d > s.MaxDegree {
 			s.MaxDegree = d
 		}
 	}
-	g.stats = s
+	return s
 }
 
 // MinEdgeWeight returns the minimum edge weight, or +Inf for edgeless
@@ -334,7 +332,7 @@ func (b *Builder) Build() *Graph {
 		cursor[e.u]++
 	}
 	b.edges = b.edges[:0]
-	g.computeStats()
+	g.stats = ComputeStats(g.offsets, g.targets, g.weights)
 	return g
 }
 

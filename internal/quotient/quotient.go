@@ -13,96 +13,166 @@
 package quotient
 
 import (
+	"math"
 	"slices"
 
 	"graphdiam/internal/bsp"
 	"graphdiam/internal/cc"
 	"graphdiam/internal/graph"
-	"graphdiam/internal/sssp"
 	"graphdiam/internal/validate"
 )
 
 // Build constructs the weighted quotient graph from per-node center IDs and
 // center-distance upper bounds, as produced by core.Cluster. It returns the
 // quotient and the original center node ID of each quotient node (quotient
-// node i corresponds to centers[i]). Edge deduplication runs in parallel on
-// e (one map round and one merge round in MR terms).
+// node i corresponds to centers[i]).
 //
-// e must be an in-process engine. The merge folds every worker's local
-// map, and on a distributed engine each peer fills only the maps of the
-// workers it owns, so the quotient would be missing edges. The distributed
-// engine reproduces the clustering phase and Δ-stepping, which is what the
+// The quotient is Cᵀ·A·C over the (min, +) semiring, and Build computes it
+// row by row like Gustavson's sparse product: the nodes are grouped by
+// cluster, and each quotient row a is accumulated in a dense per-worker
+// array indexed by the neighbouring cluster, then emitted in target order
+// straight into CSR. It uses no hash map and sorts only each row's
+// distinct targets. The rows are built in one metered superstep, and the
+// accounting is that of the MR formulation: a map round and a dedup round,
+// one message per quotient edge.
+//
+// e must be an in-process engine: the rows of a worker another peer owns
+// would stay empty on a distributed engine. The distributed engine
+// reproduces the clustering phase and Δ-stepping, which is what the
 // transport-equivalence suites pin.
 func Build(g *graph.Graph, center []int32, dist []float64, e *bsp.Engine) (*graph.Graph, []graph.NodeID) {
 	n := g.NumNodes()
-	// Dense renumbering of centers.
-	seen := make([]bool, n)
-	for _, c := range center {
-		seen[c] = true
-	}
-	var centers []graph.NodeID
-	for u := 0; u < n; u++ {
-		if seen[u] {
-			centers = append(centers, graph.NodeID(u))
-		}
-	}
+	// Dense renumbering of the centers in ascending order: mark each
+	// center with 0, then overwrite the marks with quotient node IDs.
 	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = -1
 	}
-	for i, c := range centers {
-		idx[c] = int32(i)
+	for _, c := range center {
+		idx[c] = 0
 	}
+	var centers []graph.NodeID
+	for u, x := range idx {
+		if x == 0 {
+			idx[u] = int32(len(centers))
+			centers = append(centers, graph.NodeID(u))
+		}
+	}
+	k := len(centers)
 
-	// Parallel edge projection: each worker dedups its share locally.
+	// Group the nodes by cluster, stably in node order: each worker labels
+	// its nodes and counts them (and their adjacency volume) per cluster,
+	// a prefix over (cluster, worker) turns the counts into cursors, and
+	// the workers scatter their nodes into order.
 	P := e.Workers()
-	locals := make([]map[uint64]float64, P)
-	e.Superstep(n, func(w, start, end int) {
-		m := make(map[uint64]float64)
+	cu := make([]int32, n)
+	count := make([]int32, P*k)
+	vol := make([]int64, P*k)
+	e.ParallelFor(n, func(w, start, end int) {
+		cnt, vl := count[w*k:(w+1)*k], vol[w*k:(w+1)*k]
 		for u := start; u < end; u++ {
-			cu := idx[center[u]]
-			du := dist[u]
-			ts, ws := g.Neighbors(graph.NodeID(u))
-			for i, v := range ts {
-				cv := idx[center[v]]
-				if cu == cv {
-					continue
-				}
-				a, b := cu, cv
-				if a > b {
-					a, b = b, a
-				}
-				key := uint64(a)<<32 | uint64(b)
-				wq := ws[i] + du + dist[v]
-				if old, ok := m[key]; !ok || wq < old {
-					m[key] = wq
-				}
-			}
+			c := idx[center[u]]
+			cu[u] = c
+			cnt[c]++
+			vl[c] += int64(g.Degree(graph.NodeID(u)))
 		}
-		locals[w] = m
 	})
-	// Merge (the shuffle+reduce of the dedup round).
-	merged := make(map[uint64]float64)
-	for _, m := range locals {
-		for k, v := range m {
-			if old, ok := merged[k]; !ok || v < old {
-				merged[k] = v
-			}
+	// first[a] is where cluster a's members start in order. bounds splits
+	// the clusters into P contiguous row ranges of about equal volume.
+	first := make([]int32, k+1)
+	bounds := make([]int, P+1)
+	total := 2 * int64(g.NumEdges())
+	var pos int32
+	var acc int64
+	next := 1
+	for c := 0; c < k; c++ {
+		for ; next < P && acc*int64(P) >= int64(next)*total; next++ {
+			bounds[next] = c
+		}
+		first[c] = pos
+		for w := 0; w < P; w++ {
+			i := w*k + c
+			pos, count[i] = pos+count[i], pos
+			acc += vol[i]
 		}
 	}
-	e.Metrics().AddRounds(1)
-	e.Metrics().AddMessages(int64(len(merged)))
+	for ; next <= P; next++ {
+		bounds[next] = k
+	}
+	first[k] = pos
+	order := idx // idx is dead once every node is labelled; the scatter fills all n slots
+	e.ParallelFor(n, func(w, start, end int) {
+		cur := count[w*k : (w+1)*k]
+		for u := start; u < end; u++ {
+			c := cu[u]
+			order[cur[c]] = int32(u)
+			cur[c]++
+		}
+	})
 
-	b := graph.NewBuilder(len(centers), len(merged))
-	keys := make([]uint64, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+	// Build the rows. An edge (u,v) between clusters a and b contributes
+	// min((w+d_u)+d_v, (w+d_v)+d_u) to both row a and row b: those are
+	// the two summation orders under which the edge's two directions are
+	// projected, so each (a,b) entry is the minimum over the same set of
+	// float values whichever side computes it, and the quotient is
+	// symmetric and independent of P bit for bit.
+	offsets := make([]int64, k+1)
+	rowT := make([][]graph.NodeID, P)
+	rowW := make([][]float64, P)
+	inf := math.Inf(1)
+	e.Superstep(P, func(w, _, _ int) {
+		best := make([]float64, k) // +Inf marks a cluster untouched in this row
+		for i := range best {
+			best[i] = inf
+		}
+		var touched []int32
+		var ts []graph.NodeID
+		var ws []float64
+		for a := bounds[w]; a < bounds[w+1]; a++ {
+			touched = touched[:0]
+			for _, u := range order[first[a]:first[a+1]] {
+				du := dist[u]
+				nt, nw := g.Neighbors(graph.NodeID(u))
+				for i, v := range nt {
+					b := cu[v]
+					if b == int32(a) {
+						continue
+					}
+					dv := dist[v]
+					x, y := nw[i]+du+dv, nw[i]+dv+du
+					if y < x {
+						x = y
+					}
+					if old := best[b]; x < old {
+						if old == inf {
+							touched = append(touched, b)
+						}
+						best[b] = x
+					}
+				}
+			}
+			slices.Sort(touched)
+			for _, b := range touched {
+				ts = append(ts, graph.NodeID(b))
+				ws = append(ws, best[b])
+				best[b] = inf
+			}
+			offsets[a+1] = int64(len(touched))
+		}
+		rowT[w], rowW[w] = ts, ws
+	})
+	for a := 0; a < k; a++ {
+		offsets[a+1] += offsets[a]
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b.AddEdge(graph.NodeID(k>>32), graph.NodeID(k&0xffffffff), merged[k])
+	targets, weights := slices.Concat(rowT...), slices.Concat(rowW...)
+	e.Metrics().AddRounds(1)
+	e.Metrics().AddMessages(int64(len(targets) / 2))
+
+	q, err := graph.FromCSR(offsets, targets, weights, graph.ComputeStats(offsets, targets, weights))
+	if err != nil {
+		panic("quotient: " + err.Error()) // the rows above are a well-formed CSR by construction
 	}
-	return b.Build(), centers
+	return q, centers
 }
 
 // DiameterOptions controls how the quotient diameter is computed.
@@ -159,15 +229,4 @@ func Diameter(q *graph.Graph, e *bsp.Engine, opts DiameterOptions) float64 {
 		}
 	}
 	return best
-}
-
-// Eccentric returns the quotient node with maximum eccentricity estimate
-// found by a double sweep from node 0, useful for picking SSSP sources.
-func Eccentric(q *graph.Graph) graph.NodeID {
-	if q.NumNodes() == 0 {
-		return 0
-	}
-	dist := sssp.Dijkstra(q, 0)
-	_, far := sssp.Eccentricity(dist)
-	return far
 }

@@ -1,6 +1,8 @@
 package quotient
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"graphdiam/internal/bsp"
@@ -100,15 +102,22 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		dist[c] = 0
 	}
 	q1, _ := Build(g, center, dist, bsp.New(1))
-	q8, _ := Build(g, center, dist, bsp.New(8))
-	if q1.NumNodes() != q8.NumNodes() || q1.NumEdges() != q8.NumEdges() {
-		t.Fatal("quotient depends on worker count")
-	}
-	q1.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		if w2, ok := q8.EdgeWeight(u, v); !ok || w2 != w {
-			t.Fatalf("edge (%d,%d): %v vs %v", u, v, w, w2)
+	off1, ts1, ws1 := q1.RawCSR()
+	for _, p := range []int{2, 3, 8} {
+		qp, _ := Build(g, center, dist, bsp.New(p))
+		off, ts, ws := qp.RawCSR()
+		if !slices.Equal(off, off1) || !slices.Equal(ts, ts1) || len(ws) != len(ws1) {
+			t.Fatalf("P=%d: quotient structure depends on worker count", p)
 		}
-	})
+		for i := range ws {
+			if math.Float64bits(ws[i]) != math.Float64bits(ws1[i]) {
+				t.Fatalf("P=%d: weight slot %d: %v vs %v", p, i, ws[i], ws1[i])
+			}
+		}
+		if qp.Stats() != q1.Stats() {
+			t.Fatalf("P=%d: stats %+v vs %+v", p, qp.Stats(), q1.Stats())
+		}
+	}
 }
 
 func TestDiameterExactSmall(t *testing.T) {
@@ -161,13 +170,5 @@ func TestDiameterSweepCloseToExact(t *testing.T) {
 	}
 	if sweep < 0.75*exact {
 		t.Fatalf("sweep %v too far below exact %v", sweep, exact)
-	}
-}
-
-func TestEccentric(t *testing.T) {
-	g := gen.Path(30)
-	far := Eccentric(g)
-	if far != 29 {
-		t.Fatalf("Eccentric = %d, want 29 (far end from node 0)", far)
 	}
 }
