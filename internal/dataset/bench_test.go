@@ -10,6 +10,7 @@ import (
 	"graphdiam/internal/gen"
 	"graphdiam/internal/gio"
 	"graphdiam/internal/graph"
+	"graphdiam/internal/rng"
 )
 
 // benchCorpus lazily builds a ≥1M-edge graph once and materializes both
@@ -127,6 +128,87 @@ func BenchmarkParseEdgeList(b *testing.B) {
 		if g.NumEdges() != benchCorpus.g.NumEdges() {
 			b.Fatal("wrong graph")
 		}
+	}
+}
+
+// lineageCorpus lazily builds a catalog holding one dataset with a delta
+// chain: a road:320 base (102 400 nodes) and 7 frames of 512 random
+// insertions each.
+var lineageCorpus struct {
+	once sync.Once
+	err  error
+	dir  string
+	head string
+}
+
+func lineageSetup(tb testing.TB) {
+	lineageCorpus.once.Do(func() {
+		lineageCorpus.err = func() error {
+			dir, err := os.MkdirTemp("", "gdd-bench")
+			if err != nil {
+				return err
+			}
+			g, err := gen.FromSpec("road:320", 3)
+			if err != nil {
+				return err
+			}
+			c, err := Open(dir, Options{CompactAfter: -1})
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			if _, err := c.IngestGraph("g", g, FormatBinary, ""); err != nil {
+				return err
+			}
+			r := rng.New(5)
+			n := g.NumNodes()
+			for f := 0; f < 7; f++ {
+				d := &EdgeDelta{}
+				for len(d.Ins) < 512 {
+					u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+					if u != v {
+						d.Ins = append(d.Ins, DeltaIns{U: u, V: v, W: 0.5 + r.Float64()})
+					}
+				}
+				res, err := c.AppendDelta("g", d, "")
+				if err != nil {
+					return err
+				}
+				lineageCorpus.head = res.Info.SHA256
+			}
+			lineageCorpus.dir = dir
+			return nil
+		}()
+	})
+	if lineageCorpus.err != nil {
+		tb.Fatal(lineageCorpus.err)
+	}
+}
+
+// BenchmarkMaterializeLineage measures a lineage fault-in: a freshly
+// reopened catalog has nothing mapped, so Load decodes and verifies the
+// 7 frames, merges them into the base CSR and re-hashes the head.
+func BenchmarkMaterializeLineage(b *testing.B) {
+	lineageSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := Open(lineageCorpus.dir, Options{CompactAfter: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ld, err := c.Load("g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ld.Header.SHAHex() != lineageCorpus.head {
+			b.Fatal("wrong head")
+		}
+		b.StopTimer()
+		c.Close()
+		b.StartTimer()
 	}
 }
 

@@ -887,29 +887,15 @@ func (c *Catalog) Verify(name string) (Info, error) {
 		return cp, nil
 	}
 	// A lineage verifies end to end: the base snapshot deep-checks like
-	// any other, every delta frame re-hashes to its chain address, and
-	// the replayed materialization must land exactly on the recorded
-	// head — the lineage-wide integrity statement.
+	// any other, and materialization re-hashes every delta frame against
+	// its chain address and must land exactly on the recorded head — the
+	// lineage-wide integrity statement.
 	path, err := c.blobs.Fetch(cp.base())
 	if err != nil {
 		return Info{}, err
 	}
 	if _, err := VerifySnapshot(path); err != nil {
 		return Info{}, err
-	}
-	for i, ref := range cp.Deltas {
-		dpath, err := c.blobs.Fetch(ref.SHA256)
-		if err != nil {
-			return Info{}, err
-		}
-		h, err := verifyDeltaFile(dpath)
-		if err != nil {
-			return Info{}, err
-		}
-		if h.SHAHex() != ref.SHA256 {
-			return Info{}, fmt.Errorf("dataset: delta %d of %q hashes to %s, chain records %s",
-				i, name, ShortSHA(h.SHAHex()), ShortSHA(ref.SHA256))
-		}
 	}
 	ld, err := c.materializeLineage(&cp)
 	if err != nil {

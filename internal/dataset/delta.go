@@ -27,6 +27,7 @@ package dataset
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/hex"
@@ -35,6 +36,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,8 +61,9 @@ const (
 	remRecBytes = 8  // u, v
 )
 
-// DeltaIns is one edge insertion (or weight update: inserting an edge
-// that exists replaces its weight — see ApplyEdgeDelta).
+// DeltaIns is one edge insertion. Inserting an edge that exists keeps the
+// lower weight; removing it in the same frame replaces its weight — see
+// ApplyEdgeDelta.
 type DeltaIns struct {
 	U, V graph.NodeID
 	W    float64
@@ -401,37 +404,147 @@ func DecodeDeltaStream(r io.Reader) (*EdgeDelta, error) {
 // merged = (edges of g minus the removed pairs) followed by the
 // insertion records. Removals apply before insertions, so a pair that is
 // both removed and inserted ends up with the inserted weight — the
-// reweight idiom. Insertions of an already-present pair go through the
-// Builder's min-weight parallel-edge rule, matching static ingest.
+// reweight idiom. Insertions of an already-present pair keep the minimum
+// weight, the Builder's parallel-edge rule, matching static ingest.
 // Node count grows to cover the largest inserted endpoint; removals
 // never shrink it.
+//
+// It is the one-frame case of the chain merge materializeLineage runs:
+// the delta's p distinct pairs are sorted once and merged row by row
+// into g's already sorted CSR, O(n + m + p log p). The result is
+// heap-backed and never aliases g.
 func ApplyEdgeDelta(g *graph.Graph, d *EdgeDelta) (*graph.Graph, error) {
 	if err := validateDelta(d); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	for _, in := range d.Ins {
-		if int(in.U)+1 > n {
-			n = int(in.U) + 1
-		}
-		if int(in.V)+1 > n {
-			n = int(in.V) + 1
-		}
+	var p edgePatch
+	p.fold(d)
+	return p.apply(g)
+}
+
+// patchKind is the net effect of a folded delta chain on one node pair,
+// relative to the graph the chain starts from.
+type patchKind uint8
+
+const (
+	patchMin    patchKind = iota // the lower of the base weight (if any) and w
+	patchSet                     // w, whatever the base holds
+	patchDelete                  // absent
+)
+
+type patchOp struct {
+	kind patchKind
+	w    float64
+}
+
+// edgePatch is a delta chain folded into one net change per pair, so a
+// whole chain applies to its base in a single merge. The zero value is
+// the empty chain.
+type edgePatch struct {
+	ops map[uint64]patchOp // keyed by pairKey
+	n   int                // 1 + the largest inserted endpoint
+}
+
+// fold appends one frame to the chain. Within the frame removals come
+// first, then insertions: a removal makes the pair absent, and an
+// insertion lowers the pair's weight — or sets it, when the chain so far
+// has removed the pair. This is exactly ApplyEdgeDelta's per-frame rule,
+// composed.
+func (p *edgePatch) fold(d *EdgeDelta) {
+	if p.ops == nil {
+		p.ops = make(map[uint64]patchOp, len(d.Ins)+len(d.Rem))
 	}
-	removed := make(map[uint64]bool, len(d.Rem))
 	for _, rm := range d.Rem {
-		removed[pairKey(rm.U, rm.V)] = true
+		p.ops[pairKey(rm.U, rm.V)] = patchOp{kind: patchDelete}
 	}
-	b := graph.NewBuilder(n, g.NumEdges()+len(d.Ins))
-	g.ForEachEdge(func(u, v graph.NodeID, w float64) {
-		if !removed[pairKey(u, v)] {
-			b.AddEdge(u, v, w)
-		}
-	})
 	for _, in := range d.Ins {
-		b.AddEdge(in.U, in.V, in.W)
+		k := pairKey(in.U, in.V)
+		op, ok := p.ops[k]
+		switch {
+		case !ok:
+			op = patchOp{kind: patchMin, w: in.W}
+		case op.kind == patchDelete:
+			op = patchOp{kind: patchSet, w: in.W}
+		case in.W < op.w:
+			op.w = in.W
+		}
+		p.ops[k] = op
+		p.n = max(p.n, int(in.U)+1, int(in.V)+1)
 	}
-	return b.Build(), nil
+}
+
+// apply merges the patch into g: it expands the patch to both directions,
+// sorts those entries by (row, target), then walks the rows, copying
+// unpatched runs of g's CSR in bulk and merging each patched row's base
+// adjacency (already sorted by target) with its entries. The arrays are
+// fresh heap memory, so the result outlives a mapped g.
+func (p *edgePatch) apply(g *graph.Graph) (*graph.Graph, error) {
+	bOff, bT, bW := g.RawCSR()
+	baseN := g.NumNodes()
+	n := max(baseN, p.n)
+
+	type entry struct {
+		key uint64 // row<<32 | target
+		op  patchOp
+	}
+	ents := make([]entry, 0, 2*len(p.ops))
+	inserted := 0
+	for k, op := range p.ops {
+		u, v := k>>32, k&math.MaxUint32 // u < v
+		if op.kind == patchDelete && int(v) >= baseN {
+			continue // g cannot hold the pair: nothing to remove
+		}
+		if op.kind != patchDelete {
+			inserted += 2
+		}
+		ents = append(ents, entry{u<<32 | v, op}, entry{v<<32 | u, op})
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+
+	baseOff := func(u int) int64 { return bOff[min(u, baseN)] }
+	offsets := make([]int64, n+1)
+	targets := make([]graph.NodeID, 0, len(bT)+inserted)
+	weights := make([]float64, 0, len(bT)+inserted)
+	for u, i := 0, 0; ; u++ {
+		next := n
+		if i < len(ents) {
+			next = int(ents[i].key >> 32)
+		}
+		// Rows [u, next) carry no patch: copy their slots and shift offsets.
+		lo, hi := baseOff(u), baseOff(next)
+		shift := int64(len(targets)) - lo
+		targets = append(targets, bT[lo:hi]...)
+		weights = append(weights, bW[lo:hi]...)
+		for ; u < next; u++ {
+			offsets[u+1] = baseOff(u+1) + shift
+		}
+		if i == len(ents) {
+			break
+		}
+		// Row u is patched: merge its base adjacency with its entries.
+		bi, bEnd := baseOff(u), baseOff(u+1)
+		for ; i < len(ents) && int(ents[i].key>>32) == u; i++ {
+			t, op := graph.NodeID(ents[i].key), ents[i].op
+			for bi < bEnd && bT[bi] < t {
+				targets, weights = append(targets, bT[bi]), append(weights, bW[bi])
+				bi++
+			}
+			w := op.w
+			if bi < bEnd && bT[bi] == t {
+				if op.kind == patchMin && bW[bi] < w {
+					w = bW[bi]
+				}
+				bi++
+			}
+			if op.kind != patchDelete {
+				targets, weights = append(targets, t), append(weights, w)
+			}
+		}
+		targets = append(targets, bT[bi:bEnd]...)
+		weights = append(weights, bW[bi:bEnd]...)
+		offsets[u+1] = int64(len(targets))
+	}
+	return graph.FromCSR(offsets, targets, weights, graph.ComputeStats(offsets, targets, weights))
 }
 
 // pairKey packs an unordered node pair into one comparable key.

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"strings"
 	"testing"
+
+	"graphdiam/internal/graph"
 )
 
 // FuzzDeltaFrameDecode hammers the binary frame decoder with mutated
@@ -55,6 +57,67 @@ func FuzzDeltaFrameDecode(f *testing.F) {
 		if rh.SHAHex() != h.SHAHex() {
 			t.Fatalf("re-encoded address %s != decoded %s", rh.SHAHex(), h.SHAHex())
 		}
+	})
+}
+
+// FuzzApplyDeltaChain derives a small base graph and a delta chain from
+// the fuzz bytes and checks the one-pass chain merge against the
+// Builder replay folded frame by frame: same CSR arrays, weights
+// bitwise, same Stats. Endpoints range past the base's vertex set, so
+// growth and out-of-range removals are in play; weights come from a
+// small set, so ties and reweights are common.
+func FuzzApplyDeltaChain(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 4, 0, 1, 3, 1, 2, 3, 2, 3, 1, 3, 0, 2, 2, 1, 0, 1, 1, 4, 2, 0, 1, 1, 5})
+	f.Add(bytes.Repeat([]byte{7, 3, 1, 250, 9}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		weight := func() float64 { return float64(1+next()%8) / 4 }
+
+		n := next() % 24
+		b := graph.NewBuilder(n, 0)
+		for m := next() % 48; m > 0 && n > 0; m-- {
+			b.AddEdge(graph.NodeID(next()%n), graph.NodeID(next()%n), weight())
+		}
+		base := b.Build()
+
+		want := base
+		var p edgePatch
+		for frames := next() % 6; frames > 0; frames-- {
+			d := &EdgeDelta{}
+			for k := next() % 8; k > 0; k-- {
+				u, v := graph.NodeID(next()%(n+4)), graph.NodeID(next()%(n+4))
+				if u != v {
+					d.Ins = append(d.Ins, DeltaIns{U: u, V: v, W: weight()})
+				}
+			}
+			for k := next() % 8; k > 0; k-- {
+				u, v := graph.NodeID(next()%(n+6)), graph.NodeID(next()%(n+6))
+				if u != v {
+					d.Rem = append(d.Rem, DeltaRem{U: u, V: v})
+				}
+			}
+			var err error
+			if want, err = replayReference(want, d); err != nil {
+				t.Fatal(err)
+			}
+			p.fold(d)
+		}
+		got, err := p.apply(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.ValidateCSR(); err != nil {
+			t.Fatal(err)
+		}
+		requireSameCSR(t, want, got)
 	})
 }
 

@@ -172,6 +172,7 @@ func (c *Catalog) AppendDelta(name string, d *EdgeDelta, source string) (AppendR
 	if _, exists := c.mapped[newHead]; !exists {
 		c.mapped[newHead] = &Loaded{Graph: newG, Header: newH}
 	}
+	c.releaseHeadLocked(prev)
 	c.evictLocked(name)
 	if err := c.saveManifestLocked(); err != nil {
 		return AppendResult{}, err
@@ -181,6 +182,24 @@ func (c *Catalog) AppendDelta(name string, d *EdgeDelta, source string) (AppendR
 	c.opts.Metrics.appended(name, len(next.Deltas))
 	c.maybeCompactLocked(next)
 	return res, nil
+}
+
+// releaseHeadLocked forgets a superseded head's materialization when it
+// is heap memory and no name heads there any more, so a stream of
+// appends keeps one graph per dataset instead of one per append. Runs
+// still holding the graph keep it alive; a mapped snapshot stays until
+// Close, since unmapping it could fault them. Caller holds c.mu.
+func (c *Catalog) releaseHeadLocked(sha string) {
+	ld, ok := c.mapped[sha]
+	if !ok || ld.Mmapped {
+		return
+	}
+	for _, in := range c.entries {
+		if in.SHA256 == sha {
+			return
+		}
+	}
+	delete(c.mapped, sha)
 }
 
 // compactionDue applies the churn policy: chain length past
@@ -321,12 +340,32 @@ func (c *Catalog) Compact(name string) (Info, bool, error) {
 	return *next, true, nil
 }
 
-// materializeLineage loads the base snapshot, replays the delta chain
-// in order, and returns the materialized graph with a synthesized
-// header whose content address must equal the entry's recorded head.
-// The caller owns the returned Loaded (heap-backed; Close is a no-op)
-// unless it registers it in c.mapped.
+// materializeLineage decodes and verifies every delta frame of the
+// chain — each must re-hash to its chain address — and folds them, in
+// order, into one net change per node pair (the per-frame rule of
+// ApplyEdgeDelta, composed). It then loads the base snapshot and merges
+// that patch into the base CSR in one sorted-row pass: O(n + m + p log p)
+// for p patched pairs, however long the chain. The result's content
+// address must equal the entry's recorded head. The caller owns the
+// returned Loaded (heap-backed; Close is a no-op) unless it registers it
+// in c.mapped.
 func (c *Catalog) materializeLineage(in *Info) (*Loaded, error) {
+	var p edgePatch
+	for i, ref := range in.Deltas {
+		dpath, err := c.blobs.Fetch(ref.SHA256)
+		if err != nil {
+			return nil, err
+		}
+		d, dh, err := LoadDeltaFrame(dpath)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: delta %d of %q: %w", i, in.Name, err)
+		}
+		if dh.SHAHex() != ref.SHA256 {
+			return nil, fmt.Errorf("dataset: delta %d of %q hashes to %s, chain records %s",
+				i, in.Name, ShortSHA(dh.SHAHex()), ShortSHA(ref.SHA256))
+		}
+		p.fold(d)
+	}
 	basePath, err := c.blobs.Fetch(in.base())
 	if err != nil {
 		return nil, err
@@ -335,30 +374,12 @@ func (c *Catalog) materializeLineage(in *Info) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := base.Graph
-	for i, ref := range in.Deltas {
-		dpath, err := c.blobs.Fetch(ref.SHA256)
-		if err != nil {
-			base.Close()
-			return nil, err
-		}
-		d, dh, err := LoadDeltaFrame(dpath)
-		if err != nil {
-			base.Close()
-			return nil, err
-		}
-		if dh.SHAHex() != ref.SHA256 {
-			base.Close()
-			return nil, fmt.Errorf("dataset: delta %d of %q hashes to %s, chain records %s",
-				i, in.Name, ShortSHA(dh.SHAHex()), ShortSHA(ref.SHA256))
-		}
-		if g, err = ApplyEdgeDelta(g, d); err != nil {
-			base.Close()
-			return nil, fmt.Errorf("dataset: replay delta %d of %q: %w", i, in.Name, err)
-		}
-	}
-	// The Builder copied everything out of the mapping; release it.
+	g, err := p.apply(base.Graph)
+	// The merge copied everything out of the mapping; release it.
 	base.Close()
+	if err != nil {
+		return nil, err
+	}
 	h := materializedHeader(g)
 	if h.SHAHex() != in.SHA256 {
 		return nil, fmt.Errorf("dataset: lineage of %q materializes to %s, manifest records head %s (corrupt chain)",

@@ -104,6 +104,52 @@ func TestAppendMovesHeadAndGrowsChain(t *testing.T) {
 	}
 }
 
+// TestAppendReleasesSupersededHead pins that a stream of appends keeps
+// one heap materialization per dataset: each append forgets the head it
+// replaced, while the mapped base snapshot stays until Close.
+func TestAppendReleasesSupersededHead(t *testing.T) {
+	c := lineageCatalog(t, t.TempDir(), Options{})
+	base, err := c.IngestGraph("m", mustGen(t, "mesh:8", 1), FormatBinary, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseLd, err := c.Load("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.AppendDelta("m", growDelta(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := c.Load("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.AppendDelta("m", &EdgeDelta{Ins: []DeltaIns{{U: 2, V: 61, W: 0.5}}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c.mu.Lock()
+	_, keptFirst := c.mapped[first.Info.SHA256]
+	_, keptSecond := c.mapped[second.Info.SHA256]
+	keptBase := c.mapped[base.SHA256] == baseLd
+	c.mu.Unlock()
+	if keptFirst {
+		t.Fatal("superseded head still cached after the next append")
+	}
+	if !keptSecond {
+		t.Fatal("current head not cached after append")
+	}
+	if baseLd.Mmapped && !keptBase {
+		t.Fatal("mapped base snapshot released before Close")
+	}
+	// A graph handed out before the head moved stays usable.
+	if held.Graph.NumEdges() != first.Info.NumEdges {
+		t.Fatalf("held graph has %d edges, want %d", held.Graph.NumEdges(), first.Info.NumEdges)
+	}
+}
+
 func TestAppendNoOpKeepsHeadAndStoresNothing(t *testing.T) {
 	dir := t.TempDir()
 	c := lineageCatalog(t, dir, Options{})
@@ -381,6 +427,43 @@ func TestAppendErrorClassification(t *testing.T) {
 	}
 	if _, err := c.AppendDelta("m", &EdgeDelta{Ins: []DeltaIns{{U: 1, V: 1, W: 1}}}, ""); !errors.As(err, &bi) {
 		t.Fatalf("self-loop delta: %v, want BadInputError", err)
+	}
+}
+
+// TestVerifyNamesCorruptDeltaFrame flips one record byte of the second
+// frame of a chain on disk: Verify must fail and say which link rotted.
+func TestVerifyNamesCorruptDeltaFrame(t *testing.T) {
+	dir := t.TempDir()
+	c := lineageCatalog(t, dir, Options{})
+	if _, err := c.IngestGraph("m", mustGen(t, "mesh:8", 1), FormatBinary, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AppendDelta("m", growDelta(), ""); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.AppendDelta("m", &EdgeDelta{Ins: []DeltaIns{{U: 2, V: 61, W: 0.5}}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Verify("m"); err != nil {
+		t.Fatalf("healthy lineage fails verification: %v", err)
+	}
+
+	path := filepath.Join(dir, snapshotsDir, res.Info.Deltas[1].SHA256+snapExt)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[deltaHeaderSize] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Verify("m")
+	if err == nil {
+		t.Fatal("lineage with a corrupt frame verifies")
+	}
+	if !strings.Contains(err.Error(), "delta 1 of \"m\"") {
+		t.Fatalf("verify error %q does not name delta 1", err)
 	}
 }
 
