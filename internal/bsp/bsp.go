@@ -323,6 +323,7 @@ func (e *Engine) Owner(n, i int) int {
 // c = ⌊2⁶⁴/d⌋+1, ⌊c·x/2⁶⁴⌋ = ⌊x/d⌋), hoisted once per run. Routers are
 // values; copy them freely into hot loops.
 type Router struct {
+	n        uint32 // items routed: [0, n)
 	boundary uint32 // items below this belong to the (per+1)-sized ranges
 	rem      uint32 // number of (per+1)-sized ranges
 	cBig     uint64 // reciprocal of per+1
@@ -339,6 +340,7 @@ func (e *Engine) Router(n int) Router {
 		small = 1 // never consulted: boundary == n when per == 0
 	}
 	return Router{
+		n:        uint32(n),
 		boundary: rem * (per + 1),
 		rem:      rem,
 		cBig:     reciprocal(per + 1),

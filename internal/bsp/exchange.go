@@ -22,6 +22,10 @@ type WireCodec[T any] struct {
 	// Read decodes one record from the front of data, returning the record
 	// and the bytes consumed.
 	Read func(data []byte) (msg T, n int, err error)
+	// Node returns the target node of msg, which the decoder checks is in
+	// range and owned by the frame's dst worker before the record reaches
+	// the apply half.
+	Node func(msg T) uint32
 }
 
 // Frame layout for one peer's shipment, repeated until the blob ends:
@@ -55,10 +59,13 @@ func encodeFrames[T any](c WireCodec[T], boxes [][][]T, srcLo, srcHi, dstLo, dst
 }
 
 // decodeFrames appends the records of blob into boxes, validating that every
-// frame's (src, dst) lies in the expected ranges and that no length prefix
-// overruns the remaining bytes. Partially decoded frames leave boxes in an
-// unspecified state; callers treat any error as terminal for the run.
-func decodeFrames[T any](c WireCodec[T], blob []byte, boxes [][][]T, srcLo, srcHi, dstLo, dstHi int) error {
+// frame's (src, dst) lies in the expected ranges, that no length prefix
+// overruns the remaining bytes, and that every record's node lies in
+// route's [0, n) and is owned by the frame's dst — so the apply half never
+// indexes past its arrays or writes a slot another worker owns. Partially
+// decoded frames leave boxes in an unspecified state; callers treat any
+// error as terminal for the run.
+func decodeFrames[T any](c WireCodec[T], route Router, blob []byte, boxes [][][]T, srcLo, srcHi, dstLo, dstHi int) error {
 	minSize := c.MinSize
 	if minSize < 1 {
 		minSize = 1
@@ -95,6 +102,9 @@ func decodeFrames[T any](c WireCodec[T], blob []byte, boxes [][][]T, srcLo, srcH
 			if err != nil {
 				return fmt.Errorf("record %d of frame %d→%d: %w", i, src, dst, err)
 			}
+			if v := c.Node(msg); v >= route.n || route.Owner(v) != int(dst) {
+				return fmt.Errorf("record %d of frame %d→%d: node %d not owned by worker %d of %d nodes", i, src, dst, v, dst, route.n)
+			}
 			box = append(box, msg)
 			pos += n
 		}
@@ -109,11 +119,14 @@ func decodeFrames[T any](c WireCodec[T], blob []byte, boxes [][][]T, srcLo, srcH
 // into the remote-sender rows of m — after which Recv on an owned worker
 // sees exactly the messages (and the sender order) a single-process run
 // would. A no-op returning nil for single-process engines; call it between
-// the send and apply halves of a superstep.
+// the send and apply halves of a superstep. route is the engine's Router
+// over the nodes the messages target: an inbound record whose node is out
+// of range, or not owned by its frame's dst, fails the run with
+// transport.ErrProtocol.
 //
 // On error the run is over: the error is also sticky in the engine (Err()),
 // so drivers that only check Err() at superstep boundaries stay correct.
-func ExchangeMailboxes[T any](e *Engine, m *Mailboxes[T], c WireCodec[T]) error {
+func ExchangeMailboxes[T any](e *Engine, m *Mailboxes[T], c WireCodec[T], route Router) error {
 	d := e.dist
 	if d == nil {
 		return nil
@@ -145,16 +158,9 @@ func ExchangeMailboxes[T any](e *Engine, m *Mailboxes[T], c WireCodec[T]) error 
 			continue
 		}
 		ql, qh := d.ranges[q][0], d.ranges[q][1]
-		if err := decodeFrames(c, in[q], m.boxes, ql, qh, d.ownLo, d.ownHi); err != nil {
+		if err := decodeFrames(c, route, in[q], m.boxes, ql, qh, d.ownLo, d.ownHi); err != nil {
 			return d.fail(transport.ErrProtocol, q, "decode inbound frames: %v", err)
 		}
 	}
 	return nil
-}
-
-// ExchangeCoalescing is ExchangeMailboxes for coalescing mailboxes: the
-// physical (post-coalescing) boxes are shipped; the sender-side prefix-minima
-// chains are per-source state that needs no synchronization.
-func ExchangeCoalescing[T any](e *Engine, m *CoalescingMailboxes[T], c WireCodec[T]) error {
-	return ExchangeMailboxes(e, m.mb, c)
 }

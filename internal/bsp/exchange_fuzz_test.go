@@ -37,6 +37,7 @@ var fuzzCodec = WireCodec[fuzzMsg]{
 		bits := binary.LittleEndian.Uint64(data[n:])
 		return fuzzMsg{uint32(node), bits}, n + 8, nil
 	},
+	Node: func(m fuzzMsg) uint32 { return m.node },
 }
 
 func freshBoxes(workers int) [][][]fuzzMsg {
@@ -58,6 +59,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16) {
 		const workers = 6
 		const srcLo, srcHi, dstLo, dstHi = 0, 3, 3, 6
+		// The widest node range, so records span every uvarint length.
+		const nodes = 1<<32 - 1
+		e := New(workers)
+		route := e.Router(nodes)
 		x := seed
 		next := func() uint64 {
 			x += 0x9e3779b97f4a7c15
@@ -71,11 +76,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		for i := 0; i < n; i++ {
 			src := srcLo + int(next()%uint64(srcHi-srcLo))
 			dst := dstLo + int(next()%uint64(dstHi-dstLo))
-			boxes[src][dst] = append(boxes[src][dst], fuzzMsg{uint32(next()), next()})
+			lo, hi := e.Partition(nodes, dst) // records target dst's own nodes
+			node := uint32(lo + int(next()%uint64(hi-lo)))
+			boxes[src][dst] = append(boxes[src][dst], fuzzMsg{node, next()})
 		}
 		blob := encodeFrames(fuzzCodec, boxes, srcLo, srcHi, dstLo, dstHi)
 		got := freshBoxes(workers)
-		if err := decodeFrames(fuzzCodec, blob, got, srcLo, srcHi, dstLo, dstHi); err != nil {
+		if err := decodeFrames(fuzzCodec, route, blob, got, srcLo, srcHi, dstLo, dstHi); err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
 		for src := 0; src < workers; src++ {
@@ -99,16 +106,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	})
 }
 
+// decodeNodes is the node range of FuzzFrameDecode: over 4 workers, worker
+// 2 owns [500, 750) and worker 3 owns [750, 1000).
+const decodeNodes = 1000
+
 // FuzzFrameDecode feeds adversarial blobs straight into the decoder. The
-// contract: every input either decodes into in-range boxes or returns an
-// error — no panics, and no allocation driven by a lying length prefix
-// (the bounds guard caps records at len(blob)/MinSize, so the box slices
-// the decoder builds stay proportional to the input size).
+// contract: every input either decodes into in-range boxes holding only
+// records for nodes their dst owns, or returns an error — no panics, and no
+// allocation driven by a lying length prefix (the bounds guard caps records
+// at len(blob)/MinSize, so the box slices the decoder builds stay
+// proportional to the input size).
 func FuzzFrameDecode(f *testing.F) {
 	// A valid blob as a seed.
 	valid := freshBoxes(4)
-	valid[0][2] = []fuzzMsg{{7, 9}, {8, 10}}
-	valid[1][3] = []fuzzMsg{{1, 2}}
+	valid[0][2] = []fuzzMsg{{507, 9}, {508, 10}}
+	valid[1][3] = []fuzzMsg{{751, 2}}
 	f.Add(encodeFrames(fuzzCodec, valid, 0, 2, 2, 4))
 	// A frame whose count prefix claims ~1e18 records in 3 bytes.
 	lie := binary.AppendUvarint(nil, 0)             // src
@@ -118,9 +130,17 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})                                 // empty
 	f.Add([]byte{0x80})                             // truncated uvarint
 	f.Add(binary.AppendUvarint(nil, uint64(1)<<40)) // src out of range
+	// Well-formed frames whose record targets a node past n, or a node
+	// that worker 3 owns, in a frame addressed to worker 2.
+	for _, node := range []uint32{decodeNodes, 1 << 31, 751} {
+		forged := freshBoxes(4)
+		forged[0][2] = []fuzzMsg{{node, 1}}
+		f.Add(encodeFrames(fuzzCodec, forged, 0, 2, 2, 4))
+	}
+	route := New(4).Router(decodeNodes)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		boxes := freshBoxes(4)
-		err := decodeFrames(fuzzCodec, blob, boxes, 0, 2, 2, 4)
+		err := decodeFrames(fuzzCodec, route, blob, boxes, 0, 2, 2, 4)
 		total := 0
 		for src := range boxes {
 			for dst := range boxes[src] {
@@ -128,6 +148,11 @@ func FuzzFrameDecode(f *testing.F) {
 				total += n
 				if n > 0 && (src >= 2 || dst < 2) {
 					t.Fatalf("decoder wrote %d records into out-of-range box %d→%d", n, src, dst)
+				}
+				for _, m := range boxes[src][dst] {
+					if m.node >= decodeNodes || route.Owner(m.node) != dst {
+						t.Fatalf("decoder accepted node %d into box %d→%d", m.node, src, dst)
+					}
 				}
 			}
 		}

@@ -87,129 +87,3 @@ func (m *Mailboxes[T]) ClearTo(dst int) {
 		m.boxes[src][dst] = m.boxes[src][dst][:0]
 	}
 }
-
-// CoalescingMailboxes is a sender-side coalescing layer over Mailboxes for
-// min-reduction message types (relaxation requests): messages are keyed by
-// target node, and each sender physically enqueues only the messages that
-// strictly improve (under less) on everything it has already sent to that
-// node in the current superstep — the lexicographic prefix-minima chain of
-// its candidate stream.
-//
-// Keeping the whole improving chain, rather than only the final minimum, is
-// what makes coalescing invisible to the paper's metric accounting: a
-// dropped message m is by construction ≥ (not less than) some earlier
-// same-sender message m′ to the same node, and since the receiver's state
-// after processing m′ is ≤ m′ ≤ m, the receiver would have skipped m anyway
-// — so the receiver's applied-update count, its final state, and the
-// frontier it builds are bit-identical to the uncoalesced execution, while
-// the physical traffic shrinks to roughly one message per (sender, target)
-// pair. Callers keep metering logical sends via Metrics.AddMessages, so
-// Snapshot values match the uncoalesced run exactly.
-//
-// Usage discipline: each sender src calls BeginSend(src) at the start of the
-// send half of a superstep (invalidating its per-node memory in O(1)), then
-// Send for each logical message. Receivers use Recv/ClearTo as with plain
-// Mailboxes. The same single-writer-per-src rules apply.
-type CoalescingMailboxes[T any] struct {
-	mb          *Mailboxes[T]
-	less        func(a, b T) bool
-	best        [][]T      // best[src][node]: minimum sent to node this step
-	stamp       [][]uint32 // stamp[src][node] == epoch[src] iff best is live
-	epoch       []uint32
-	passthrough bool
-	oversize    bool // workers·n exceeded maxCoalesceCells: passthrough forever
-}
-
-// maxCoalesceCells caps the dense per-sender memory of coalescing at
-// workers·n entries (~1 GB of growMsg-sized state). Above it the mailboxes
-// permanently degrade to passthrough — the exact uncoalesced behaviour, so
-// correctness and metric accounting are unaffected; only the traffic
-// optimisation is given up rather than multiplying a huge graph's footprint
-// by the worker count.
-const maxCoalesceCells = 1 << 25
-
-// NewCoalescingMailboxes returns coalescing mailboxes for the given worker
-// count over target nodes in [0, n). less must be a strict weak order
-// matching the receiver's improvement test: a message is physically sent iff
-// less(msg, best-so-far) — ties are dropped, exactly as the receiver would
-// skip them.
-//
-// The per-node sender memory is dense: workers·n entries of T plus a stamp
-// word. When that exceeds maxCoalesceCells the mailboxes run in permanent
-// passthrough mode instead.
-func NewCoalescingMailboxes[T any](workers, n int, less func(a, b T) bool) *CoalescingMailboxes[T] {
-	m := &CoalescingMailboxes[T]{
-		mb:   NewMailboxes[T](workers),
-		less: less,
-	}
-	if workers > 0 && n > maxCoalesceCells/workers {
-		m.passthrough = true
-		m.oversize = true
-		return m
-	}
-	m.best = make([][]T, workers)
-	m.stamp = make([][]uint32, workers)
-	m.epoch = make([]uint32, workers)
-	for src := 0; src < workers; src++ {
-		m.best[src] = make([]T, n)
-		m.stamp[src] = make([]uint32, n)
-	}
-	return m
-}
-
-// Workers returns the number of workers the mailboxes were built for.
-func (m *CoalescingMailboxes[T]) Workers() int { return m.mb.Workers() }
-
-// SetPassthrough disables (true) or re-enables (false) coalescing; in
-// passthrough mode every Send is physically enqueued, byte-for-byte the
-// plain Mailboxes behaviour. Used by the equivalence tests. A no-op on
-// oversize mailboxes, which are permanently passthrough.
-func (m *CoalescingMailboxes[T]) SetPassthrough(v bool) {
-	if m.oversize {
-		return
-	}
-	m.passthrough = v
-}
-
-// BeginSend starts a new send half for src, forgetting its per-node minima
-// from previous supersteps. Must be called by src before its first Send of
-// each superstep; safe to call concurrently for distinct src.
-func (m *CoalescingMailboxes[T]) BeginSend(src int) {
-	if m.passthrough {
-		return
-	}
-	m.epoch[src]++
-	if m.epoch[src] == 0 { // epoch wrapped: stale stamps could collide
-		clear(m.stamp[src])
-		m.epoch[src] = 1
-	}
-}
-
-// Send logically sends msg (keyed by target node, owned by dst) from src.
-// It is physically enqueued only if it strictly improves on everything src
-// has sent to node since its last BeginSend.
-func (m *CoalescingMailboxes[T]) Send(src, dst int, node int32, msg T) {
-	if m.passthrough {
-		m.mb.Send(src, dst, msg)
-		return
-	}
-	if m.stamp[src][node] != m.epoch[src] {
-		m.stamp[src][node] = m.epoch[src]
-	} else if !m.less(msg, m.best[src][node]) {
-		return
-	}
-	m.best[src][node] = msg
-	m.mb.Send(src, dst, msg)
-}
-
-// Recv invokes fn for every physically delivered message addressed to dst,
-// in sender order. Must only be called after all senders passed the barrier.
-func (m *CoalescingMailboxes[T]) Recv(dst int, fn func(T)) { m.mb.Recv(dst, fn) }
-
-// ClearTo empties every buffer addressed to dst; safe to call concurrently
-// for distinct dst.
-func (m *CoalescingMailboxes[T]) ClearTo(dst int) { m.mb.ClearTo(dst) }
-
-// Count returns the number of pending physical messages (diagnostics; the
-// logical message count lives in the engine metrics).
-func (m *CoalescingMailboxes[T]) Count() int64 { return m.mb.Count() }

@@ -44,7 +44,7 @@ type growState struct {
 
 	frontiers [][]int32 // per-worker current frontier (global IDs, owned)
 	nextFront [][]int32
-	mail      *bsp.CoalescingMailboxes[growMsg]
+	mail      *bsp.Mailboxes[growMsg]
 	route     bsp.Router // O(1) owner lookup, hoisted once per run
 
 	// per-round accumulators (written via the engine, read after barriers)
@@ -52,18 +52,6 @@ type growState struct {
 	roundNewly   []int64
 	roundScans   []int64
 	edgeScans    int64 // run total of roundScans; see Clustering.edgeScans
-}
-
-// coalesceMessages gates sender-side mailbox coalescing; the equivalence
-// tests flip it to prove the coalesced and uncoalesced paths produce
-// identical clusterings and identical metric snapshots.
-var coalesceMessages = true
-
-// lessGrow is the sender-side coalescing order for growMsg: the receiver
-// applies the lexicographically smallest (distance, center) candidate, so a
-// candidate is worth sending only if it strictly improves on that order.
-func lessGrow(a, b growMsg) bool {
-	return a.sd < b.sd || (a.sd == b.sd && a.center < b.center)
 }
 
 // improves reports whether candidate (sd, c) beats v's current (stageD,
@@ -87,13 +75,12 @@ func newGrowState(g *graph.Graph, e *bsp.Engine) *growState {
 		retired:      make([]bool, n),
 		frontiers:    make([][]int32, P),
 		nextFront:    make([][]int32, P),
-		mail:         bsp.NewCoalescingMailboxes[growMsg](P, n, lessGrow),
+		mail:         bsp.NewMailboxes[growMsg](P),
 		route:        e.Router(n),
 		roundUpdates: make([]int64, P),
 		roundNewly:   make([]int64, P),
 		roundScans:   make([]int64, P),
 	}
-	st.mail.SetPassthrough(!coalesceMessages)
 	for i := 0; i < n; i++ {
 		st.center[i] = -1
 		st.stageD[i] = math.Inf(1)
@@ -280,17 +267,17 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 	// were both covered in earlier stages do not exist in the contracted
 	// graph (Procedure Contract removes them), so they generate no
 	// messages. A candidate that does not beat the target's current
-	// (stageD, center) is metered as a logical message but never enqueued,
-	// because the owner would reject it on arrival: nothing writes
-	// coveredStage, stageD or center during the send half (so these
-	// cross-partition reads are race-free), and the owner's state only
-	// decreases lexicographically while it applies the step — the argument
-	// that makes coalescing invisible. On a distributed engine a remote
-	// target's local copy is never below the owner's (its initial +Inf/-1,
-	// or forceCenter's replicated value), so there the prune drops a subset.
+	// (stageD, center) is metered as a logical message but never enqueued:
+	// nothing writes coveredStage, stageD or center during the send half
+	// (so these cross-partition reads are race-free), and the owner's state
+	// only decreases lexicographically while it applies the step, so the
+	// owner would reject the candidate on arrival. Dropping it leaves the
+	// owner's final state, its update count and the frontier it builds
+	// unchanged. On a distributed engine a remote target's local copy is
+	// never below the owner's (its initial +Inf/-1, or forceCenter's
+	// replicated value), so there the prune drops a subset.
 	e.ParallelFor(n, func(w, _, _ int) {
 		var sent, scans int64
-		st.mail.BeginSend(w)
 		for _, ui := range st.frontiers[w] {
 			u := int(ui)
 			st.queued[u] = false
@@ -316,19 +303,19 @@ func (st *growState) growStep(delta float64, stage int) (changed bool, newly int
 				}
 				sent++
 				if st.improves(int(v), cand, cu) {
-					st.mail.Send(w, st.route.Owner(v), int32(v), growMsg{v, cu, cand, tu + ws[i]})
+					st.mail.Send(w, st.route.Owner(v), growMsg{v, cu, cand, tu + ws[i]})
 				}
 			}
 		}
 		st.roundScans[w] = scans
 		if sent > 0 {
-			e.Metrics().AddMessages(sent) // logical relaxations, pre-coalescing
+			e.Metrics().AddMessages(sent) // logical relaxations, pruned ones included
 		}
 	})
 	// Cross-process shipment of the boxes addressed to remote owners; a
 	// no-op for single-process engines. Errors are sticky in the engine and
 	// surface through the drivers' e.Err() checks.
-	if err := bsp.ExchangeCoalescing(e, st.mail, growWire); err != nil {
+	if err := bsp.ExchangeMailboxes(e, st.mail, growWire, st.route); err != nil {
 		return false, 0
 	}
 	// Apply half: owners take the minimum candidate per node.

@@ -44,4 +44,5 @@ var growWire = bsp.WireCodec[growMsg]{
 		m.td = math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8:]))
 		return m, pos + 16, nil
 	},
+	Node: func(m growMsg) uint32 { return m.node },
 }

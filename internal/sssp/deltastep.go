@@ -129,15 +129,6 @@ type relaxReq struct {
 	dist float64
 }
 
-// coalesceRelaxations gates sender-side coalescing of relaxation requests;
-// the equivalence tests flip it to prove coalesced and uncoalesced runs
-// produce identical distances and identical metric snapshots.
-var coalesceRelaxations = true
-
-// lessRelax orders relaxation candidates: receivers apply strict distance
-// improvements, so only strictly smaller candidates are worth sending.
-func lessRelax(a, b relaxReq) bool { return a.dist < b.dist }
-
 // relaxWire serializes relaxReq for cross-process shipping: uvarint node,
 // then the distance as raw little-endian float64 bits (bit-exact).
 var relaxWire = bsp.WireCodec[relaxReq]{
@@ -159,6 +150,7 @@ var relaxWire = bsp.WireCodec[relaxReq]{
 		r.dist = math.Float64frombits(binary.LittleEndian.Uint64(data[n:]))
 		return r, n + 8, nil
 	},
+	Node: func(r relaxReq) uint32 { return r.node },
 }
 
 // DeltaStepping runs parallel Δ-stepping from src on the BSP engine. Each
@@ -198,8 +190,7 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, src graph.NodeID, delta 
 		inSettled[w] = make([]bool, end-start)
 	})
 
-	mail := bsp.NewCoalescingMailboxes[relaxReq](P, n, lessRelax)
-	mail.SetPassthrough(!coalesceRelaxations)
+	mail := bsp.NewMailboxes[relaxReq](P)
 	route := e.Router(n) // O(1) owner lookup, hoisted out of the hot loop
 	srcOwner := route.Owner(src)
 	dist[src] = 0 // replicated: every peer records the same source state
@@ -221,7 +212,6 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, src graph.NodeID, delta 
 	relaxPhase := func(lists [][]int32, light bool) {
 		e.ParallelFor(n, func(w, _, _ int) {
 			var sent int64
-			mail.BeginSend(w)
 			for _, u := range lists[w] {
 				du := dist[u] // owned by w: safe
 				ts, ws := g.Neighbors(graph.NodeID(u))
@@ -232,17 +222,21 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, src graph.NodeID, delta 
 					}
 					sent++
 					if nd := du + wt; nd < dist[v] {
-						mail.Send(w, route.Owner(v), int32(v), relaxReq{v, nd})
+						mail.Send(w, route.Owner(v), relaxReq{v, nd})
 					}
 				}
 			}
 			if sent > 0 {
-				e.Metrics().AddMessages(sent) // logical relaxations, pre-coalescing
+				e.Metrics().AddMessages(sent) // logical relaxations, pruned ones included
 			}
 		})
-		// Ship boxes addressed to remote owners (no-op single-process);
-		// errors are sticky and surface through the e.Err() checks.
-		bsp.ExchangeCoalescing(e, mail, relaxWire)
+		// Ship boxes addressed to remote owners (no-op single-process). On
+		// error the inbound boxes are unspecified, so the apply half is
+		// skipped; the error is sticky and surfaces through the e.Err()
+		// checks.
+		if err := bsp.ExchangeMailboxes(e, mail, relaxWire, route); err != nil {
+			return
+		}
 		e.ParallelFor(n, func(w, start, _ int) {
 			var applied int64
 			q := queues[w]
