@@ -159,7 +159,6 @@ func main() {
 		fleetConfig   = flag.String("fleet-config", "", "JSON placement-view file ({\"epoch\",\"members\"}) reloaded on SIGHUP to swap fleet membership at runtime (requires -peers)")
 		tenantRate    = flag.Float64("tenant-rate", 0, "per-tenant admitted jobs/second (0 = admission control disabled)")
 		tenantBurst   = flag.Float64("tenant-burst", 0, "per-tenant job burst capacity (0 = max(1, -tenant-rate); requires -tenant-rate)")
-		churnThresh   = flag.Float64("churn-threshold", 0, "max fraction of clusters a delta may touch and still trigger eager decomposition maintenance on append (0 = default 0.25, negative = always lazy)")
 		debugAddr     = flag.String("debug-addr", "", "private listen address for pprof and a /metrics mirror, e.g. localhost:6060 (empty = disabled; never expose publicly)")
 		pre           preloads
 	)
@@ -282,12 +281,11 @@ func main() {
 	}
 
 	scfg := store.Config{
-		MaxEntries:     *maxEntries,
-		MaxConcurrent:  *maxConcurrent,
-		MaxJobs:        *maxJobs,
-		Catalog:        cat,
-		Metrics:        storeMetrics,
-		ChurnThreshold: *churnThresh,
+		MaxEntries:    *maxEntries,
+		MaxConcurrent: *maxConcurrent,
+		MaxJobs:       *maxJobs,
+		Catalog:       cat,
+		Metrics:       storeMetrics,
 	}
 	if fcache != nil {
 		scfg.FleetCache = fcache

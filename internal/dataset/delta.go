@@ -93,23 +93,6 @@ type DeltaHeader struct {
 // SHAHex returns the frame's content address as lowercase hex.
 func (h DeltaHeader) SHAHex() string { return hex.EncodeToString(h.PayloadSHA[:]) }
 
-// Touched returns the distinct node IDs named by the delta, the vertex
-// set the store uses to decide which clusters a delta invalidates.
-func (d *EdgeDelta) Touched() []graph.NodeID {
-	seen := map[graph.NodeID]bool{}
-	for _, in := range d.Ins {
-		seen[in.U], seen[in.V] = true, true
-	}
-	for _, rm := range d.Rem {
-		seen[rm.U], seen[rm.V] = true, true
-	}
-	out := make([]graph.NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	return out
-}
-
 // validateDelta rejects records the graph model cannot hold: non-positive
 // or non-finite insertion weights (the paper's model requires positive
 // finite weights) and self-loop insertions.

@@ -323,23 +323,3 @@ func TestMaterializedHeaderMatchesWriteSnapshot(t *testing.T) {
 		}
 	}
 }
-
-func TestDeltaTouched(t *testing.T) {
-	d := &EdgeDelta{
-		Ins: []DeltaIns{{U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}},
-		Rem: []DeltaRem{{U: 3, V: 4}},
-	}
-	touched := d.Touched()
-	if len(touched) != 4 {
-		t.Fatalf("touched %v, want 4 distinct nodes", touched)
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range touched {
-		seen[v] = true
-	}
-	for _, want := range []graph.NodeID{1, 2, 3, 4} {
-		if !seen[want] {
-			t.Fatalf("touched %v misses node %d", touched, want)
-		}
-	}
-}

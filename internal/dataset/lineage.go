@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"graphdiam/internal/graph"
 )
 
 // Lineage operations on the catalog: append a delta frame to a
@@ -45,9 +43,6 @@ type AppendResult struct {
 	// stored and the chain did not grow.
 	Applied  bool
 	Ins, Rem int
-	// Touched is the distinct vertex set the delta named — what the
-	// store's incremental maintenance feeds on.
-	Touched []graph.NodeID
 }
 
 // AppendDelta applies d on top of the named dataset's current head and
@@ -96,7 +91,6 @@ func (c *Catalog) AppendDelta(name string, d *EdgeDelta, source string) (AppendR
 		PrevSHA: prev,
 		Ins:     len(d.Ins),
 		Rem:     len(d.Rem),
-		Touched: d.Touched(),
 	}
 	if newHead == prev {
 		// No-op append: identity unchanged, nothing stored, chain kept.

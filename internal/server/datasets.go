@@ -28,9 +28,8 @@ import (
 //	       in-memory registry now (queries do this lazily anyway)
 //	POST   /v2/datasets/{name}/append stream an edge delta ("+ u v w" /
 //	       "- u v" lines, optionally gzip-wrapped) onto the dataset's
-//	       lineage; the head SHA moves, the superseded head's cache
-//	       slots are freed, and decompositions are maintained per the
-//	       churn policy
+//	       lineage; the head SHA moves and the superseded head's cache
+//	       slots are freed
 //	POST   /v2/datasets/{name}/compact fold the delta chain into a
 //	       fresh snapshot (the head — and every cache key — survives)
 //
@@ -173,7 +172,7 @@ func (s *Server) handleLoadDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // AppendResponse is the POST /v2/datasets/{name}/append payload: the
-// head movement plus what the store's delta maintenance did about it.
+// head movement plus how many cache entries it invalidated.
 type AppendResponse struct {
 	Dataset     string `json:"dataset"`
 	PrevSHA     string `json:"prevSha"`
@@ -193,8 +192,8 @@ type AppendResponse struct {
 // as ingest. A client that appends and immediately queries can never
 // see a stale result from this node: the store resolves every query's
 // name to the catalog's head. ApplyDelta is told about a real head
-// movement only so it can free the superseded head's cache slots and
-// maintain retained decompositions before the response is written.
+// movement only so it can free the superseded head's cache slots before
+// the response is written.
 func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 	cat, ok := s.requireDatasets(w)
 	if !ok {
@@ -225,7 +224,7 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request) {
 		ChainLength: res.Info.ChainLen(),
 	}
 	if res.Applied {
-		m := s.st.ApplyDelta(r.Context(), name, res.PrevSHA, res.Info.SHA256, res.Touched)
+		m := s.st.ApplyDelta(res.PrevSHA, res.Info.SHA256)
 		resp.Maintenance = &m
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -67,8 +67,8 @@ func TestStreamingAppendEndToEnd(t *testing.T) {
 	if ar.ChainLength != 1 {
 		t.Fatalf("chain length %d, want 1", ar.ChainLength)
 	}
-	if ar.Maintenance == nil || ar.Maintenance.Invalidated == 0 {
-		t.Fatalf("maintenance report missing or empty: %+v", ar.Maintenance)
+	if ar.Maintenance == nil || ar.Maintenance.Invalidated == 0 || ar.Maintenance.Recomputed != 0 {
+		t.Fatalf("maintenance report %+v, want invalidations and no recompute", ar.Maintenance)
 	}
 
 	// The catalog record now carries the lineage head.
@@ -116,7 +116,7 @@ func TestStreamingAppendEndToEnd(t *testing.T) {
 		t.Fatalf("ground-truth decompose status %d", code)
 	}
 	if decomposeFields(after) != decomposeFields(full) {
-		t.Fatalf("maintained decomposition diverges from full recompute:\n got  %+v\n want %+v",
+		t.Fatalf("post-append decomposition diverges from full recompute:\n got  %+v\n want %+v",
 			decomposeFields(after), decomposeFields(full))
 	}
 }

@@ -442,6 +442,18 @@ func TestFleetCacheEndpointsAndPromotion(t *testing.T) {
 	if pr.StatusCode != http.StatusNoContent {
 		t.Fatalf("PUT /v2/cache: status %d", pr.StatusCode)
 	}
+	// A key that is not a fleet key is refused before it reaches the LRU.
+	req, err = http.NewRequest("PUT", other.url+"/v2/cache/"+url.PathEscape("a|b"), bytes.NewReader(cached))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT /v2/cache/a|b: status %d, want 400", pr.StatusCode)
+	}
 
 	// Fail the owner over (in the other daemon's view only): the dataset
 	// now belongs to the other daemon, which serves the pushed result —

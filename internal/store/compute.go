@@ -41,19 +41,27 @@ type Params struct {
 }
 
 // normalized folds equivalent parameter spellings together so they share a
-// cache slot: DeltaInit is matched case-insensitively and "" means "avg".
+// cache slot: DeltaInit is matched case-insensitively, "" means "avg", and
+// FixedDelta, which only "fixed" reads, is zeroed under any other DeltaInit.
 func (p Params) normalized() Params {
 	p.DeltaInit = strings.ToLower(p.DeltaInit)
 	if p.DeltaInit == "" {
 		p.DeltaInit = "avg"
+	}
+	if p.DeltaInit != "fixed" {
+		p.FixedDelta = 0
 	}
 	return p
 }
 
 // canonical renders the parameters as a stable cache-key fragment. op
 // distinguishes the query kind so a decompose and a diameter run with the
-// same knobs occupy distinct slots. Call on a normalized() value.
+// same knobs occupy distinct slots; a decompose renders sw=0, as only
+// diameter queries read Sweeps. Call on a normalized() value.
 func (p Params) canonical(op string) string {
+	if op == "decompose" {
+		p.Sweeps = 0
+	}
 	return fmt.Sprintf("%s|tau=%d|seed=%d|w=%d|cap=%d|init=%s|fd=%g|c2=%t|wo=%t|sw=%d",
 		op, p.Tau, p.Seed, p.Workers, p.StepCap, p.DeltaInit, p.FixedDelta,
 		p.Cluster2, p.WeightOblivious, p.Sweeps)
@@ -193,7 +201,6 @@ func (s *Store) runDecompose(ctx context.Context, name string, g *graph.Graph, p
 	}
 	res.MinCluster, res.MaxCluster = clusterSizeExtremes(cl)
 	s.addCost(cl.Metrics)
-	s.retainClustering(name, g, p, cl)
 	return res, nil
 }
 

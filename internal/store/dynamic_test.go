@@ -1,15 +1,13 @@
 package store
 
 import (
-	"bytes"
 	"context"
-	"strings"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"graphdiam/internal/dataset"
-	"graphdiam/internal/obs"
 )
 
 // appendTo runs one growing append through the catalog and returns the
@@ -26,81 +24,6 @@ func appendTo(t *testing.T, cat *dataset.Catalog, name string, d *dataset.EdgeDe
 	return res
 }
 
-// zeroWall strips the one nondeterministic field so results compare ==.
-func zeroWall(r DecomposeResult) DecomposeResult {
-	r.WallMillis = 0
-	return r
-}
-
-// TestApplyDeltaIncrementalMatchesFullRecompute is the acceptance pin:
-// after a delta, the incrementally-maintained decomposition must be
-// byte-identical to a full recompute on the materialized graph — same
-// clustering, same radius, same round/message/update accounting.
-func TestApplyDeltaIncrementalMatchesFullRecompute(t *testing.T) {
-	cat := newCatalogWith(t, map[string]string{"dyn": "mesh:24"})
-	// ChurnThreshold 1.0: any churn qualifies for eager maintenance, so
-	// the "incremental" path is taken deterministically.
-	s := New(Config{Catalog: cat, ChurnThreshold: 1.0})
-	defer s.Close()
-	ctx := context.Background()
-	p := Params{Seed: 5}
-
-	before, cached, err := s.Decompose(ctx, "dyn", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("first decompose reported cached")
-	}
-
-	res := appendTo(t, cat, "dyn", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 0, V: 575, W: 0.5}},
-		Rem: []dataset.DeltaRem{{U: 0, V: 1}},
-	})
-	m := s.ApplyDelta(ctx, "dyn", res.PrevSHA, res.Info.SHA256, res.Touched)
-	if m.Mode != "incremental" {
-		t.Fatalf("maintenance mode %q, want incremental (churn %d/%d)", m.Mode, m.TouchedClusters, m.TotalClusters)
-	}
-	if m.Recomputed != 1 {
-		t.Fatalf("recomputed %d decompositions, want 1", m.Recomputed)
-	}
-	if m.Invalidated == 0 {
-		t.Fatal("head moved but nothing was invalidated")
-	}
-	if m.TouchedClusters == 0 || m.TotalClusters == 0 {
-		t.Fatalf("churn not measured: %+v", m)
-	}
-
-	// The eager recompute left the cache warm for the NEW head...
-	after, cached, err := s.Decompose(ctx, "dyn", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Fatal("query after incremental maintenance missed the cache")
-	}
-	// ...and its result is not the stale pre-delta one.
-	if zeroWall(after) == zeroWall(before) {
-		t.Fatal("post-delta result identical to pre-delta result (stale cache?)")
-	}
-
-	// Byte-identity: a completely fresh store over the same catalog runs
-	// the full algorithm cold on the new head and must agree exactly.
-	fresh := New(Config{Catalog: cat})
-	defer fresh.Close()
-	full, cached, err := fresh.Decompose(ctx, "dyn", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("cold store reported cached")
-	}
-	if zeroWall(after) != zeroWall(full) {
-		t.Fatalf("incremental maintenance diverged from full recompute:\n inc  %+v\n full %+v",
-			zeroWall(after), zeroWall(full))
-	}
-}
-
 func TestApplyDeltaNoOpInvalidatesNothing(t *testing.T) {
 	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
 	s := New(Config{Catalog: cat})
@@ -113,9 +36,8 @@ func TestApplyDeltaNoOpInvalidatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := s.ApplyDelta(ctx, "d", in.SHA256, in.SHA256, nil)
-	if m.Mode != "none" || m.Invalidated != 0 || m.Recomputed != 0 {
-		t.Fatalf("no-op maintenance %+v, want mode none with no work", m)
+	if m := s.ApplyDelta(in.SHA256, in.SHA256); m != (MaintenanceResult{}) {
+		t.Fatalf("no-op maintenance %+v, want no work", m)
 	}
 	// The cache is still warm.
 	if _, cached, err := s.Decompose(ctx, "d", Params{Seed: 2}); err != nil || !cached {
@@ -123,178 +45,88 @@ func TestApplyDeltaNoOpInvalidatesNothing(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaHighChurnFallsBackToLazy pins the threshold fallback: a
-// negative ChurnThreshold disables eager maintenance entirely, so a head
-// movement invalidates and defers — mode "full", nothing recomputed,
-// and the next query pays the cold cost but still sees the new graph.
-func TestApplyDeltaHighChurnFallsBackToLazy(t *testing.T) {
-	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
-	s := New(Config{Catalog: cat, ChurnThreshold: -1})
-	defer s.Close()
-	ctx := context.Background()
-	p := Params{Seed: 2}
-	if _, _, err := s.Decompose(ctx, "d", p); err != nil {
-		t.Fatal(err)
-	}
-	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 0, V: 143, W: 0.5}},
-	})
-	m := s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched)
-	if m.Mode != "full" || m.Recomputed != 0 {
-		t.Fatalf("maintenance %+v, want lazy full invalidation", m)
-	}
-	next, cached, err := s.Decompose(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("query after lazy invalidation claims cached")
-	}
-	// The lazy path converges to the same answer as any full recompute.
-	fresh := New(Config{Catalog: cat})
-	defer fresh.Close()
-	full, _, err := fresh.Decompose(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zeroWall(next) != zeroWall(full) {
-		t.Fatalf("lazy recompute diverged from fresh store:\n lazy %+v\n full %+v", zeroWall(next), zeroWall(full))
-	}
-}
-
-func TestApplyDeltaWithoutRetainedClusteringIsModeNone(t *testing.T) {
-	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
-	s := New(Config{Catalog: cat})
-	defer s.Close()
-	ctx := context.Background()
-	// Fault the graph in via a diameter query only — diameter retains no
-	// decomposition under the decompose key the maintenance scans.
-	if _, _, err := s.Diameter(ctx, "d", Params{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 0, V: 143, W: 0.5}},
-	})
-	m := s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched)
-	if m.Mode != "none" {
-		t.Fatalf("mode %q with no retained decomposition, want none", m.Mode)
-	}
-	// The stale graph and its cached results are still gone.
-	if m.Invalidated == 0 {
-		t.Fatal("stale diameter result survived the head movement")
-	}
-	if _, _, ok := s.Graph("d"); ok {
-		t.Fatal("superseded graph still registered")
-	}
-	// And the next query serves the new head.
-	if _, cached, err := s.Diameter(ctx, "d", Params{Seed: 2}); err != nil || cached {
-		t.Fatalf("post-delta diameter (cached=%v err=%v), want cold recompute", cached, err)
-	}
-}
-
-// TestApplyDeltaAfterNodeGrowth covers a delta whose inserted endpoint
-// lies beyond the old vertex set: churn counts the growth as an extra
-// touched cluster and maintenance still converges on the grown graph.
-func TestApplyDeltaAfterNodeGrowth(t *testing.T) {
-	cat := newCatalogWith(t, map[string]string{"d": "mesh:10"})
-	s := New(Config{Catalog: cat, ChurnThreshold: 1.0})
-	defer s.Close()
-	ctx := context.Background()
-	p := Params{Seed: 4}
-	if _, _, err := s.Decompose(ctx, "d", p); err != nil {
-		t.Fatal(err)
-	}
-	// mesh:10 has nodes 0..99; attach node 120 (and implicitly 100..120).
-	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 99, V: 120, W: 1}},
-	})
-	if res.Info.NumNodes != 121 {
-		t.Fatalf("grown node count %d, want 121", res.Info.NumNodes)
-	}
-	m := s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched)
-	if m.Mode != "incremental" {
-		t.Fatalf("maintenance mode %q, want incremental", m.Mode)
-	}
-	after, cached, err := s.Decompose(ctx, "d", p)
-	if err != nil || !cached {
-		t.Fatalf("decompose after growth (cached=%v): %v", cached, err)
-	}
-	if after.NumNodes != 121 {
-		t.Fatalf("maintained decomposition has %d nodes, want 121", after.NumNodes)
-	}
-	fresh := New(Config{Catalog: cat})
-	defer fresh.Close()
-	full, _, err := fresh.Decompose(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zeroWall(after) != zeroWall(full) {
-		t.Fatalf("grown-graph maintenance diverged:\n inc  %+v\n full %+v", zeroWall(after), zeroWall(full))
-	}
-}
-
-// TestDeltaRecomputeMetrics checks the counter family the maintenance
-// path feeds: an "incremental" tick when eager recompute ran.
-func TestDeltaRecomputeMetrics(t *testing.T) {
-	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
-	reg := obs.NewRegistry()
-	s := New(Config{Catalog: cat, ChurnThreshold: 1.0, Metrics: NewMetrics(reg)})
-	defer s.Close()
-	ctx := context.Background()
-	if _, _, err := s.Decompose(ctx, "d", Params{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 0, V: 143, W: 0.5}},
-	})
-	if m := s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched); m.Mode != "incremental" {
-		t.Fatalf("mode %q, want incremental", m.Mode)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := `graphdiam_store_delta_recomputes_total{mode="incremental"} 1`
-	if !strings.Contains(buf.String(), want) {
-		t.Fatalf("exposition missing %q", want)
-	}
-}
-
-// TestHeadMoveNeedsNoApplyDelta: the catalog alone owns name → head, so an
-// append the store is never told about is still never answered stale.
+// TestHeadMoveNeedsNoApplyDelta: the catalog alone owns name → head, so
+// an append is never answered stale whether or not the store is told
+// about it. Telling it (ApplyDelta) only frees the superseded head's
+// slots; either way the first query on the new head is a cold compute
+// equal to a fresh store's answer, for a shortcut insert and for an
+// insert that grows the vertex set.
 func TestHeadMoveNeedsNoApplyDelta(t *testing.T) {
+	// mesh:12 has nodes 0..143.
+	deltas := []struct {
+		kind string
+		ins  dataset.DeltaIns
+	}{
+		{"shortcut", dataset.DeltaIns{U: 0, V: 143, W: 0.5}},
+		{"growth", dataset.DeltaIns{U: 143, V: 144, W: 1}},
+	}
+	for _, told := range []bool{true, false} {
+		for _, op := range []string{"diameter", "decompose"} {
+			for _, d := range deltas {
+				t.Run(fmt.Sprintf("told=%v/%s/%s", told, op, d.kind), func(t *testing.T) {
+					headMoveCase(t, told, op, d.ins)
+				})
+			}
+		}
+	}
+}
+
+func headMoveCase(t *testing.T, told bool, op string, ins dataset.DeltaIns) {
 	cat := newCatalogWith(t, map[string]string{"d": "mesh:12"})
 	s := New(Config{Catalog: cat})
 	defer s.Close()
 	ctx := context.Background()
 	p := Params{Seed: 2}
-	before, _, err := s.Diameter(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
+	query := func(s *Store) (any, bool) {
+		var (
+			res    any
+			cached bool
+			err    error
+		)
+		if op == "diameter" {
+			var r DiameterResult
+			r, cached, err = s.Diameter(ctx, "d", p)
+			r.WallMillis = 0
+			res = r
+		} else {
+			var r DecomposeResult
+			r, cached, err = s.Decompose(ctx, "d", p)
+			r.WallMillis = 0
+			res = r
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cached
 	}
-	res := appendTo(t, cat, "d", &dataset.EdgeDelta{
-		Ins: []dataset.DeltaIns{{U: 0, V: 143, W: 0.5}},
-	}) // and no ApplyDelta
 
-	if fkey, ok := s.FleetKeyFor("d", "diameter", p); !ok || fkey != FleetKey(res.Info.SHA256, "diameter", p) {
+	before, _ := query(s)
+	res := appendTo(t, cat, "d", &dataset.EdgeDelta{Ins: []dataset.DeltaIns{ins}})
+	if want := max(144, int(ins.V)+1); res.Info.NumNodes != want {
+		t.Fatalf("head has %d nodes, want %d", res.Info.NumNodes, want)
+	}
+	if told {
+		m := s.ApplyDelta(res.PrevSHA, res.Info.SHA256)
+		if m.Invalidated < 1 || m.Recomputed != 0 {
+			t.Fatalf("maintenance %+v, want ≥ 1 invalidated and nothing recomputed", m)
+		}
+		if _, _, ok := s.Graph("d"); ok {
+			t.Fatal("superseded graph still registered")
+		}
+	}
+
+	if fkey, ok := s.FleetKeyFor("d", op, p); !ok || fkey != FleetKey(res.Info.SHA256, op, p) {
 		t.Fatalf("fleet key %q (ok=%v) does not name the new head %s", fkey, ok, res.Info.SHA256)
 	}
-	after, cached, err := s.Diameter(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	after, cached := query(s)
 	if cached {
 		t.Fatal("first query on the new head claims cached")
 	}
 	fresh := New(Config{Catalog: cat})
 	defer fresh.Close()
-	want, _, err := fresh.Diameter(ctx, "d", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before.WallMillis, after.WallMillis, want.WallMillis = 0, 0, 0
+	want, _ := query(fresh)
 	if after != want || after == before {
-		t.Fatalf("answer after an untold append:\n got    %+v\n want   %+v\n before %+v", after, want, before)
+		t.Fatalf("answer after the append:\n got    %+v\n want   %+v\n before %+v", after, want, before)
 	}
 }
 
@@ -309,7 +141,7 @@ func TestQueriesRaceAppends(t *testing.T) {
 		maxEntries = 3
 	)
 	cat := newCatalogWith(t, map[string]string{"d": "mesh:10"})
-	s := New(Config{Catalog: cat, MaxEntries: maxEntries, ChurnThreshold: 1.0})
+	s := New(Config{Catalog: cat, MaxEntries: maxEntries})
 	defer s.Close()
 	ctx := context.Background()
 	p := Params{Seed: 9}
@@ -378,7 +210,7 @@ func TestQueriesRaceAppends(t *testing.T) {
 	for i := 1; i < heads; i++ {
 		res := appendTo(t, cat, "d", delta(i))
 		if i%2 == 0 { // the store hears about every other append only
-			s.ApplyDelta(ctx, "d", res.PrevSHA, res.Info.SHA256, res.Touched)
+			s.ApplyDelta(res.PrevSHA, res.Info.SHA256)
 		}
 		acked.Store(int64(i))
 		if res, _, err := s.Diameter(ctx, "d", p); err != nil || res.Estimate != want[i].Estimate {

@@ -3,7 +3,7 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
+	"regexp"
 )
 
 // The server side of the fleet-wide result cache: GET/PUT /v2/cache/{key}
@@ -50,13 +50,17 @@ func (s *Store) FleetCacheGet(fkey string) ([]byte, bool) {
 	return body, true
 }
 
+// fleetKeyRE matches the head of every key FleetKey renders: a lowercase
+// hex SHA-256 content address, then an op the store computes.
+var fleetKeyRE = regexp.MustCompile(`^[0-9a-f]{64}\|(decompose|diameter)\|`)
+
 // FleetCachePut accepts a peer's PUT /v2/cache/{key}: a JSON-encoded
 // result computed elsewhere, stored raw until a local query decodes it.
 // The body must be valid JSON and the key must look like a fleet key
-// (content address "|" params) — the endpoint trusts the fleet, not the
-// bytes.
+// (content address "|" op "|" params) — the endpoint trusts the fleet,
+// not the bytes.
 func (s *Store) FleetCachePut(fkey string, body []byte) error {
-	if !strings.Contains(fkey, "|") || !contentAddressed(fkey) {
+	if !fleetKeyRE.MatchString(fkey) {
 		return fmt.Errorf("store: malformed fleet cache key %q", fkey)
 	}
 	if !json.Valid(body) {

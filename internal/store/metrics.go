@@ -35,8 +35,6 @@ type Metrics struct {
 	messages *obs.Counter
 	updates  *obs.Counter
 
-	deltaRecomputes *obs.CounterVec // mode: none | incremental | full
-
 	tracer engineTracer
 }
 
@@ -84,9 +82,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			obs.DefBuckets, "state"),
 		jobsFinished: r.CounterVec("graphdiam_store_jobs_total",
 			"Jobs reaching a terminal state, by outcome.", "state"),
-		deltaRecomputes: r.CounterVec("graphdiam_store_delta_recomputes_total",
-			"Delta-maintenance outcomes after a lineage head moved: incremental (eager recompute under the churn threshold), full (lazy invalidation), or none (no retained decomposition).",
-			"mode"),
 		rounds: r.Counter("graphdiam_bsp_rounds_total",
 			"Parallel supersteps of completed runs (mirrors the paper's round count)."),
 		messages: r.Counter("graphdiam_bsp_messages_total",
@@ -170,12 +165,6 @@ func (m *Metrics) jobFinished(state JobState, d time.Duration) {
 	if m != nil {
 		m.jobsFinished.With(string(state)).Inc()
 		m.jobSeconds.With(string(state)).ObserveDuration(d)
-	}
-}
-
-func (m *Metrics) deltaMaintenance(mode string) {
-	if m != nil {
-		m.deltaRecomputes.With(mode).Inc()
 	}
 }
 

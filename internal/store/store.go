@@ -73,11 +73,6 @@ type Config struct {
 	// compute-slot pressure, job durations, and BSP engine timings. Nil
 	// leaves every instrumentation site a no-op.
 	Metrics *Metrics
-	// ChurnThreshold is the fraction of a retained decomposition's
-	// clusters a delta may touch before incremental maintenance stops
-	// eagerly recomputing and falls back to lazy invalidation. 0 selects
-	// the default (0.25); negative disables eager recomputes entirely.
-	ChurnThreshold float64
 }
 
 // FleetCache is the store's hook into the fleet-wide result cache. All
@@ -108,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 512
-	}
-	if c.ChurnThreshold == 0 {
-		c.ChurnThreshold = 0.25
 	}
 	return c
 }
@@ -215,24 +207,20 @@ type Store struct {
 	// particular mmap'd dataset snapshots) while a run is mid-superstep.
 	jobsWG sync.WaitGroup
 
-	mu      sync.Mutex
-	closed  bool                     // Close begun: new jobs are no longer WG-tracked
-	nextID  uint64                   // last ad-hoc identity minted
-	graphs  map[string]*graphEntry   // read through resolve only
-	results map[string]*list.Element // identity|params → *entry in lru
-	lru     *list.List               // front = most recently used
-	flights map[string]*flight       // same keys as results
-	loads   map[string]*flight       // per-name dataset fault-ins in progress
-	// retained remembers recent clusterings by content address + params
-	// so delta maintenance can measure churn; see dynamic.go.
-	retained      map[string]*retainedClustering
-	retainedOrder []string // insertion order, for bounded eviction
-	ctrs          Counters
-	cost          bsp.Metrics // accumulated metrics of completed computations
-	nextJob       uint64
-	jobs          map[string]*job
-	jobOrder      []string // submission order, for terminal-job eviction
-	now           func() time.Time
+	mu       sync.Mutex
+	closed   bool                     // Close begun: new jobs are no longer WG-tracked
+	nextID   uint64                   // last ad-hoc identity minted
+	graphs   map[string]*graphEntry   // read through resolve only
+	results  map[string]*list.Element // identity|params → *entry in lru
+	lru      *list.List               // front = most recently used
+	flights  map[string]*flight       // same keys as results
+	loads    map[string]*flight       // per-name dataset fault-ins in progress
+	ctrs     Counters
+	cost     bsp.Metrics // accumulated metrics of completed computations
+	nextJob  uint64
+	jobs     map[string]*job
+	jobOrder []string // submission order, for terminal-job eviction
+	now      func() time.Time
 }
 
 // New returns an empty store sized by cfg.
@@ -250,7 +238,6 @@ func New(cfg Config) *Store {
 		lru:        list.New(),
 		flights:    make(map[string]*flight),
 		loads:      make(map[string]*flight),
-		retained:   make(map[string]*retainedClustering),
 		jobs:       make(map[string]*job),
 		now:        time.Now,
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,8 +313,58 @@ func TestParamNormalization(t *testing.T) {
 			t.Fatalf("deltaInit=%q: cached=%v err=%v", di, cached, err)
 		}
 	}
+	// FixedDelta only matters under deltaInit=fixed.
+	if _, cached, err := s.Diameter(ctx, "g", Params{Tau: 8, FixedDelta: 3}); err != nil || !cached {
+		t.Fatalf("fixedDelta without deltaInit=fixed: cached=%v err=%v", cached, err)
+	}
 	if c := s.Stats().Counters.Computations; c != 1 {
 		t.Fatalf("equivalent params ran %d computations", c)
+	}
+	// Sweeps only matters to diameter queries.
+	if _, cached, err := s.Decompose(ctx, "g", Params{Tau: 8}); err != nil || cached {
+		t.Fatalf("first decompose: cached=%v err=%v", cached, err)
+	}
+	if _, cached, err := s.Decompose(ctx, "g", Params{Tau: 8, Sweeps: 5}); err != nil || !cached {
+		t.Fatalf("decompose with sweeps: cached=%v err=%v", cached, err)
+	}
+	if c := s.Stats().Counters.Computations; c != 2 {
+		t.Fatalf("equivalent params ran %d computations, want 2", c)
+	}
+}
+
+// TestFleetCachePutRejectsMalformedKeys: a pushed key must be a fleet key
+// — lowercase hex SHA-256, a computed op, then params — or a peer could
+// insert arbitrary slots into the LRU and evict real results.
+func TestFleetCachePutRejectsMalformedKeys(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	sha := strings.Repeat("0123456789abcdef", 4)
+	good := FleetKey(sha, "diameter", Params{Seed: 1})
+	params := strings.TrimPrefix(good, sha+"|diameter")
+	for _, key := range []string{
+		"",
+		"a|b",
+		sha,
+		sha + "|",
+		"#1|diameter" + params,
+		strings.ToUpper(sha) + "|diameter" + params,
+		sha[:63] + "|diameter" + params,
+		sha + "0|diameter" + params,
+		sha + "|sssp" + params,
+		sha + "|diameter",
+		"x" + good,
+	} {
+		if err := s.FleetCachePut(key, []byte(`{}`)); err == nil {
+			t.Errorf("key %q accepted", key)
+		}
+	}
+	if n := s.Stats().CacheEntries; n != 0 {
+		t.Fatalf("%d cache entries after malformed pushes, want 0", n)
+	}
+	for _, op := range []string{"decompose", "diameter"} {
+		if err := s.FleetCachePut(FleetKey(sha, op, Params{Seed: 1}), []byte(`{}`)); err != nil {
+			t.Errorf("%s fleet key rejected: %v", op, err)
+		}
 	}
 }
 
