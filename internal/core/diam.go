@@ -14,8 +14,6 @@ import (
 type DiamOptions struct {
 	// Options configures the underlying decomposition.
 	Options
-	// Quotient controls how the quotient diameter is computed.
-	Quotient quotient.DiameterOptions
 	// UseCluster2 selects the theoretically-grounded CLUSTER2
 	// decomposition instead of CLUSTER. The paper's CL-DIAM uses CLUSTER
 	// "for efficiency … CLUSTER2 … does not seem to provide a significant
@@ -31,8 +29,7 @@ type DiamOptions struct {
 
 // DiamResult is the outcome of a CL-DIAM run.
 type DiamResult struct {
-	// Estimate is Φapprox(G) = Φ(G_C) + 2R, which is ≥ Φ(G) when Φ(G_C)
-	// is exact (see ApproxDiameter).
+	// Estimate is Φapprox(G) = Φ(G_C) + 2R, an upper bound on Φ(G).
 	Estimate float64
 	// QuotientDiameter is Φ(G_C).
 	QuotientDiameter float64
@@ -52,13 +49,11 @@ type DiamResult struct {
 // ApproxDiameter runs the paper's practical diameter approximation CL-DIAM:
 // decompose g with CLUSTER(G, τ) (Section 3), build the weighted quotient
 // graph (Section 4), and return Φ(G_C) + 2R. The estimate is conservative —
-// Φapprox(G) ≥ Φ(G) — whenever Φ(G_C) is exact, which quotient.Diameter
-// guarantees up to Quotient.ExactThreshold nodes. Above that threshold
-// Φ(G_C) is a sweep lower bound, so Φapprox(G) ≥ Φ(G) is not guaranteed
-// there. Per the paper's experiments the estimate is within a factor ~1.4
-// of the true diameter in practice, far below the O(log³ n) worst-case
-// guarantee; `cmd/experiments -scale test` measures the ratios here (see
-// the experiment index in DESIGN.md).
+// Φapprox(G) ≥ Φ(G) — because quotient.Diameter returns Φ(G_C) exactly or
+// a proven upper bound on it. Per the paper's experiments the estimate is
+// within a factor ~1.4 of the true diameter in practice, far below the
+// O(log³ n) worst-case guarantee; `cmd/experiments -scale test` measures
+// the ratios here (see the experiment index in DESIGN.md).
 //
 // opts.Engine must be in-process: quotient.Build assembles every worker's
 // quotient rows, and a distributed engine's peer builds only the rows of
@@ -111,7 +106,7 @@ func ApproxDiameter(ctx context.Context, g *graph.Graph, opts DiamOptions) (Diam
 	}
 	res.QuotientNodes = q.NumNodes()
 	res.QuotientEdges = q.NumEdges()
-	res.QuotientDiameter = quotient.Diameter(q, e, o.Quotient)
+	res.QuotientDiameter = quotient.Diameter(q, e, quotient.DiameterOptions{})
 	if err := e.Err(); err != nil {
 		return DiamResult{}, err
 	}

@@ -2,6 +2,7 @@ package quotient_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"graphdiam/internal/bsp"
@@ -46,5 +47,36 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// benchSink keeps the benchmarked call from being optimized away.
-var benchSink *graph.Graph
+// BenchmarkDiameter times quotient.Diameter alone on the quotients of a
+// 640×640 road network clustered for 2000 and 8000 quotient nodes (about
+// 3.6k and 12k), on a 2-worker engine: one below and one above the 4096
+// nodes up to which the Dijkstra budget covers every node.
+func BenchmarkDiameter(b *testing.B) {
+	g, err := gen.FromSpec("road:640", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, target := range []int{2000, 8000} {
+		e := bsp.New(2)
+		tau := core.TauForQuotientTarget(g.NumNodes(), target)
+		cl, err := core.Cluster(context.Background(), g, core.Options{Tau: tau, Seed: 1, Engine: e})
+		if err != nil {
+			b.Fatal(err)
+		}
+		q, _ := quotient.Build(g, cl.Center, cl.Dist, e)
+		b.Run(fmt.Sprintf("target=%d", target), func(b *testing.B) {
+			b.ReportMetric(float64(q.NumNodes()), "nodes")
+			for i := 0; i < b.N; i++ {
+				diamSink = quotient.Diameter(q, e, quotient.DiameterOptions{})
+			}
+		})
+		e.Close()
+	}
+}
+
+// benchSink and diamSink keep the benchmarked calls from being optimized
+// away.
+var (
+	benchSink *graph.Graph
+	diamSink  float64
+)

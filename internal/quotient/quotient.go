@@ -7,9 +7,8 @@
 // every edge (u,v) of G with c_u ≠ c_v, an edge between the clusters of u
 // and v of weight w(u,v) + d_u + d_v (keeping the minimum over parallel
 // edges). The diameter estimate is Φ(G_C) + 2R. It is conservative — it
-// never underestimates Φ(G) — only while Φ(G_C) is exact, which Diameter
-// guarantees up to DiameterOptions.ExactThreshold quotient nodes; above
-// that Φ(G_C) is a sweep lower bound and so is not guaranteed to be.
+// never underestimates Φ(G) — because Diameter returns Φ(G_C) exactly or,
+// on quotients too large for its Dijkstra budget, a proven upper bound.
 package quotient
 
 import (
@@ -17,7 +16,6 @@ import (
 	"slices"
 
 	"graphdiam/internal/bsp"
-	"graphdiam/internal/cc"
 	"graphdiam/internal/graph"
 	"graphdiam/internal/validate"
 )
@@ -175,58 +173,26 @@ func Build(g *graph.Graph, center []int32, dist []float64, e *bsp.Engine) (*grap
 	return q, centers
 }
 
-// DiameterOptions controls how the quotient diameter is computed.
-type DiameterOptions struct {
-	// ExactThreshold is the maximum quotient size for which the diameter
-	// is computed exactly by all-pairs Dijkstra (parallel). The paper
-	// chooses τ so the quotient fits in one machine's memory; this is the
-	// analogous knob. Default 4096.
-	ExactThreshold int
-	// Sweeps is the number of iterated farthest-node sweeps used on
-	// quotients above the threshold. Default 16.
-	Sweeps int
-}
+// DiameterOptions is Diameter's option set. It has no fields: the
+// computation is fixed and its cost is bounded by the quotient size. It
+// stays so that existing callers keep compiling.
+type DiameterOptions struct{}
 
-func (o DiameterOptions) withDefaults() DiameterOptions {
-	if o.ExactThreshold <= 0 {
-		o.ExactThreshold = 4096
-	}
-	if o.Sweeps <= 0 {
-		o.Sweeps = 16
-	}
-	return o
-}
+// budgetNodes sizes Diameter's Dijkstra budget: a quotient of k nodes may
+// run ⌈budgetNodes²/k⌉ sources, about the work of all-pairs Dijkstra on
+// budgetNodes nodes. A quotient of at most budgetNodes nodes thus has a
+// budget of at least k sources, which the bounding loop cannot exhaust,
+// so its diameter is exact.
+const budgetNodes = 4096
 
-// Diameter computes (or tightly estimates) the weighted diameter of the
-// quotient graph q. Up to opts.ExactThreshold nodes it is exact, so CL-DIAM's
-// Φ(G_C) + 2R is a guaranteed upper bound on Φ(G). Above the threshold it
-// falls back to iterated farthest-node sweeps from every component, which
-// yields a lower bound on Φ(G_C): near-exact in practice, but CL-DIAM's
-// estimate is then no longer guaranteed to be ≥ Φ(G) (measured by
-// `cmd/experiments -scale test`; see the experiment index in DESIGN.md).
-func Diameter(q *graph.Graph, e *bsp.Engine, opts DiameterOptions) float64 {
-	o := opts.withDefaults()
-	n := q.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	if n <= o.ExactThreshold {
-		return validate.ExactDiameter(q, e)
-	}
-	label, k := cc.Components(q)
-	reps := make([]graph.NodeID, k)
-	found := make([]bool, k)
-	for u, l := range label {
-		if !found[l] {
-			found[l] = true
-			reps[l] = graph.NodeID(u)
-		}
-	}
-	best := 0.0
-	for _, r := range reps {
-		if lb, _ := validate.LowerBound(q, r, o.Sweeps); lb > best {
-			best = lb
-		}
-	}
-	return best
+// Diameter computes the weighted diameter of the quotient graph q with
+// validate's Takes–Kosters bounding loop under a budget of ⌈4096²/k⌉
+// Dijkstra sources (the loop always runs at least one batch). The result
+// is Φ(G_C) exactly when the loop converges within the budget — always up
+// to 4096 nodes, and on the benchmark quotients well beyond — and a proven
+// upper bound on it otherwise, so CL-DIAM's Φ(G_C) + 2R bounds Φ(G) from
+// above either way.
+func Diameter(q *graph.Graph, e *bsp.Engine, _ DiameterOptions) float64 {
+	k := max(q.NumNodes(), 1)
+	return validate.DiameterUpperBound(q, e, (budgetNodes*budgetNodes+k-1)/k)
 }

@@ -9,7 +9,6 @@ import (
 	"graphdiam/internal/gen"
 	"graphdiam/internal/graph"
 	"graphdiam/internal/rng"
-	"graphdiam/internal/validate"
 )
 
 func TestBuildTwoClusterPath(t *testing.T) {
@@ -128,47 +127,8 @@ func TestDiameterExactSmall(t *testing.T) {
 	}
 }
 
-func TestDiameterSweepFallback(t *testing.T) {
-	// Force the sweep path with a tiny exact threshold; on a path the
-	// double sweep is exact.
-	g := gen.Path(50)
-	d := Diameter(g, bsp.New(2), DiameterOptions{ExactThreshold: 10, Sweeps: 3})
-	if d != 49 {
-		t.Fatalf("sweep diameter = %v, want 49", d)
-	}
-}
-
-func TestDiameterSweepDisconnected(t *testing.T) {
-	b := graph.NewBuilder(12, 0)
-	for i := 0; i < 5; i++ {
-		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
-	}
-	for i := 6; i < 11; i++ {
-		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 2)
-	}
-	g := b.Build()
-	// Second component has diameter 10; sweeps must visit both.
-	d := Diameter(g, bsp.New(2), DiameterOptions{ExactThreshold: 1, Sweeps: 3})
-	if d != 10 {
-		t.Fatalf("disconnected sweep diameter = %v, want 10", d)
-	}
-}
-
 func TestDiameterEmpty(t *testing.T) {
 	if d := Diameter(graph.NewBuilder(0, 0).Build(), bsp.New(1), DiameterOptions{}); d != 0 {
 		t.Fatalf("empty diameter = %v", d)
-	}
-}
-
-func TestDiameterSweepCloseToExact(t *testing.T) {
-	r := rng.New(5)
-	g := gen.UniformWeights(gen.Mesh(12), r)
-	exact := validate.ExactDiameter(g, bsp.New(4))
-	sweep := Diameter(g, bsp.New(4), DiameterOptions{ExactThreshold: 1, Sweeps: 8})
-	if sweep > exact+1e-9 {
-		t.Fatalf("sweep %v exceeds exact %v", sweep, exact)
-	}
-	if sweep < 0.75*exact {
-		t.Fatalf("sweep %v too far below exact %v", sweep, exact)
 	}
 }

@@ -216,6 +216,7 @@ func TestErrors(t *testing.T) {
 		{"bad format", "POST", "/v1/graphs", `{"name":"x","format":"xml","data":"hi"}`, http.StatusBadRequest},
 		{"malformed json", "POST", "/v1/diameter", `{"graph":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/diameter", `{"graph":"m","bogus":1}`, http.StatusBadRequest},
+		{"removed sweeps field", "POST", "/v1/diameter", `{"graph":"m","sweeps":16}`, http.StatusBadRequest},
 		{"trailing data", "POST", "/v1/diameter", `{"graph":"m"}{"x":1}`, http.StatusBadRequest},
 		{"unregistered graph", "POST", "/v1/diameter", `{"graph":"ghost"}`, http.StatusNotFound},
 		{"conflicting params", "POST", "/v1/decompose", `{"graph":"m","cluster2":true,"weightOblivious":true}`, http.StatusBadRequest},

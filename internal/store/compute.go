@@ -10,7 +10,6 @@ import (
 	"graphdiam/internal/bsp"
 	"graphdiam/internal/core"
 	"graphdiam/internal/graph"
-	"graphdiam/internal/quotient"
 )
 
 // Params is the full algorithm parameter set of a decomposition or diameter
@@ -35,9 +34,6 @@ type Params struct {
 	// WeightOblivious selects the [CPPU15] unweighted ablation. Mutually
 	// exclusive with Cluster2.
 	WeightOblivious bool `json:"weightOblivious,omitempty"`
-	// Sweeps is the lower-bound sweep count for large quotient diameters
-	// (diameter queries only; 0 = default).
-	Sweeps int `json:"sweeps,omitempty"`
 }
 
 // normalized folds equivalent parameter spellings together so they share a
@@ -56,15 +52,11 @@ func (p Params) normalized() Params {
 
 // canonical renders the parameters as a stable cache-key fragment. op
 // distinguishes the query kind so a decompose and a diameter run with the
-// same knobs occupy distinct slots; a decompose renders sw=0, as only
-// diameter queries read Sweeps. Call on a normalized() value.
+// same knobs occupy distinct slots. Call on a normalized() value.
 func (p Params) canonical(op string) string {
-	if op == "decompose" {
-		p.Sweeps = 0
-	}
-	return fmt.Sprintf("%s|tau=%d|seed=%d|w=%d|cap=%d|init=%s|fd=%g|c2=%t|wo=%t|sw=%d",
+	return fmt.Sprintf("%s|tau=%d|seed=%d|w=%d|cap=%d|init=%s|fd=%g|c2=%t|wo=%t",
 		op, p.Tau, p.Seed, p.Workers, p.StepCap, p.DeltaInit, p.FixedDelta,
-		p.Cluster2, p.WeightOblivious, p.Sweeps)
+		p.Cluster2, p.WeightOblivious)
 }
 
 // options translates Params into core options, or an error for
@@ -244,7 +236,6 @@ func (s *Store) runDiameter(ctx context.Context, name string, g *graph.Graph, p 
 	o.Progress = progress
 	d, err := core.ApproxDiameter(ctx, g, core.DiamOptions{
 		Options:         o,
-		Quotient:        quotient.DiameterOptions{Sweeps: p.Sweeps},
 		UseCluster2:     p.Cluster2,
 		WeightOblivious: p.WeightOblivious,
 	})

@@ -320,16 +320,6 @@ func TestParamNormalization(t *testing.T) {
 	if c := s.Stats().Counters.Computations; c != 1 {
 		t.Fatalf("equivalent params ran %d computations", c)
 	}
-	// Sweeps only matters to diameter queries.
-	if _, cached, err := s.Decompose(ctx, "g", Params{Tau: 8}); err != nil || cached {
-		t.Fatalf("first decompose: cached=%v err=%v", cached, err)
-	}
-	if _, cached, err := s.Decompose(ctx, "g", Params{Tau: 8, Sweeps: 5}); err != nil || !cached {
-		t.Fatalf("decompose with sweeps: cached=%v err=%v", cached, err)
-	}
-	if c := s.Stats().Counters.Computations; c != 2 {
-		t.Fatalf("equivalent params ran %d computations, want 2", c)
-	}
 }
 
 // TestFleetCachePutRejectsMalformedKeys: a pushed key must be a fleet key

@@ -1,8 +1,11 @@
 // Package validate provides reference diameter computations used to judge
 // approximation quality:
 //
-//   - ExactDiameter: all-pairs Dijkstra (parallel over sources), feasible
+//   - ExactDiameter: the exact weighted diameter by Takes–Kosters
+//     eccentricity bounding over batches of parallel Dijkstras, feasible
 //     for graphs up to a few tens of thousands of nodes;
+//     DiameterUpperBound runs the same loop under a budget of Dijkstra
+//     sources and returns a proven upper bound if the budget runs out;
 //   - LowerBound: the paper's reference procedure — run sequential SSSP
 //     repeatedly, each time from the farthest node reached by the previous
 //     run, and keep the heaviest shortest path seen (Table 2's footnote).
@@ -39,13 +42,36 @@ import (
 // equals the all-pairs answer up to floating-point path-summation order.
 // Worst case remains n Dijkstras; on the benchmark topologies it converges
 // in a few dozen.
+//
+// If e is cancelled the loop stops after the batch in flight and the
+// result is meaningless; callers check e.Err().
 func ExactDiameter(g *graph.Graph, e *bsp.Engine) float64 {
+	d, _ := boundDiameter(g, e, g.NumNodes())
+	return d
+}
+
+// DiameterUpperBound runs ExactDiameter's bounding loop with at most about
+// maxSources Dijkstra sources (rounded up to whole batches). If the loop
+// converges within the budget the result is the exact diameter; otherwise
+// it is max(realized lower bound, largest eccentricity upper bound of a
+// still-active node), which bounds Φ(g) from above because every pruned
+// or finished node has eccentricity at most the realized lower bound. The
+// bound is always finite: the loop keeps running past the budget until
+// every component has had a source. Cancellation is as for ExactDiameter.
+func DiameterUpperBound(g *graph.Graph, e *bsp.Engine, maxSources int) float64 {
+	d, _ := boundDiameter(g, e, maxSources)
+	return d
+}
+
+// boundDiameter is the loop behind ExactDiameter and DiameterUpperBound.
+// It also returns the number of sources it picked.
+func boundDiameter(g *graph.Graph, e *bsp.Engine, maxSources int) (float64, int) {
 	n := g.NumNodes()
 	if n == 0 {
-		return 0
+		return 0, 0
 	}
 	if n <= 2*exactBatch {
-		return exactDiameterAllPairs(g, e)
+		return exactDiameterAllPairs(g, e), n
 	}
 	eccL := make([]float64, n)
 	eccU := make([]float64, n)
@@ -66,7 +92,12 @@ func ExactDiameter(g *graph.Graph, e *bsp.Engine) float64 {
 	eccs := make([]float64, exactBatch)
 
 	diamLB := 0.0
+	maxU := math.Inf(1) // largest eccU over active
+	used := 0
 	for len(active) > 0 {
+		if used >= maxSources && !math.IsInf(maxU, 1) {
+			return math.Max(diamLB, maxU), used
+		}
 		sources := pickEccSources(active, eccL, eccU)
 		e.ParallelFor(len(sources), func(_, start, end int) {
 			for i := start; i < end; i++ {
@@ -74,6 +105,10 @@ func ExactDiameter(g *graph.Graph, e *bsp.Engine) float64 {
 				eccs[i], _ = sssp.Eccentricity(dists[i])
 			}
 		})
+		used += len(sources)
+		if e.Err() != nil {
+			break // cancelled: the caller discards the result
+		}
 		for i := range sources {
 			done[sources[i]] = true
 			if eccs[i] > diamLB {
@@ -118,14 +153,16 @@ func ExactDiameter(g *graph.Graph, e *bsp.Engine) float64 {
 		// path-summation asymmetry, preserving exactness.
 		slack := 1e-9 * diamLB
 		kept := active[:0]
+		maxU = 0
 		for _, v := range active {
 			if !done[v] && eccU[v] > diamLB-slack {
 				kept = append(kept, v)
+				maxU = math.Max(maxU, eccU[v])
 			}
 		}
 		active = kept
 	}
-	return diamLB
+	return diamLB, used
 }
 
 // exactBatch is the number of Dijkstra sources per bounding round. Fixed —
@@ -236,18 +273,6 @@ func LowerBound(g *graph.Graph, start graph.NodeID, sweeps int) (float64, graph.
 	return best, far
 }
 
-// LowerBoundMultiStart runs LowerBound from each of the given start nodes
-// and returns the best bound found.
-func LowerBoundMultiStart(g *graph.Graph, starts []graph.NodeID, sweepsEach int) float64 {
-	best := 0.0
-	for _, s := range starts {
-		if lb, _ := LowerBound(g, s, sweepsEach); lb > best {
-			best = lb
-		}
-	}
-	return best
-}
-
 // UnweightedDiameter computes the exact unweighted diameter Ψ(G) (maximum
 // hop distance within a component) by parallel BFS from every node.
 // Quadratic; for validation and for checking Corollary 1's Ψ/n^(ε'/b)
@@ -286,31 +311,4 @@ func UnweightedDiameter(g *graph.Graph, e *bsp.Engine) int {
 		return float64(localBest)
 	}, math.Max)
 	return int(best)
-}
-
-// EccentricityBFS returns the unweighted eccentricity of src.
-func EccentricityBFS(g *graph.Graph, src graph.NodeID) int {
-	n := g.NumNodes()
-	depth := make([]int32, n)
-	for i := range depth {
-		depth[i] = -1
-	}
-	queue := make([]graph.NodeID, 0, 1024)
-	queue = append(queue, src)
-	depth[src] = 0
-	best := 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		ts, _ := g.Neighbors(u)
-		for _, v := range ts {
-			if depth[v] < 0 {
-				depth[v] = depth[u] + 1
-				if int(depth[v]) > best {
-					best = int(depth[v])
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return best
 }

@@ -94,20 +94,6 @@ func TestLowerBoundTightOnMesh(t *testing.T) {
 	}
 }
 
-func TestLowerBoundMultiStart(t *testing.T) {
-	r := rng.New(10)
-	g := gen.UniformWeights(gen.Mesh(8), r)
-	single, _ := LowerBound(g, 0, 2)
-	multi := LowerBoundMultiStart(g, []graph.NodeID{0, 10, 33, 63}, 2)
-	if multi < single {
-		t.Fatalf("multi-start bound %v worse than single %v", multi, single)
-	}
-	exact := ExactDiameter(g, bsp.New(2))
-	if multi > exact+1e-9 {
-		t.Fatalf("multi-start bound %v exceeds exact %v", multi, exact)
-	}
-}
-
 func TestUnweightedDiameter(t *testing.T) {
 	if d := UnweightedDiameter(gen.Path(7), bsp.New(2)); d != 6 {
 		t.Fatalf("path Ψ = %d, want 6", d)
@@ -124,16 +110,6 @@ func TestUnweightedDiameter(t *testing.T) {
 	g := gen.UniformWeights(gen.Mesh(5), r)
 	if d := UnweightedDiameter(g, bsp.New(2)); d != 8 {
 		t.Fatalf("weighted mesh Ψ = %d, want 8", d)
-	}
-}
-
-func TestEccentricityBFS(t *testing.T) {
-	g := gen.Path(9)
-	if e := EccentricityBFS(g, 0); e != 8 {
-		t.Fatalf("ecc(end) = %d, want 8", e)
-	}
-	if e := EccentricityBFS(g, 4); e != 4 {
-		t.Fatalf("ecc(mid) = %d, want 4", e)
 	}
 }
 
