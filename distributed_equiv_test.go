@@ -7,9 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -146,71 +143,6 @@ func simFleet(peers int, plan transport.FaultPlan) (*transport.SimNetwork, []tra
 	return net, trs
 }
 
-// loopbackFleet builds the real HTTP transport over loopback httptest
-// daemons: each peer gets its own Registry served at /v2/bsp/frames, and
-// the transports POST frames to each other exactly as separate graphdiamd
-// processes would. The returned cleanup closes the servers.
-func loopbackFleet(t *testing.T, peers int) ([]transport.Transport, func()) {
-	t.Helper()
-	regs := make([]*transport.Registry, peers)
-	srvs := make([]*httptest.Server, peers)
-	urls := make([]string, peers)
-	for r := 0; r < peers; r++ {
-		reg := transport.NewRegistry()
-		regs[r] = reg
-		srvs[r] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Path != "/v2/bsp/frames" {
-				http.NotFound(w, req)
-				return
-			}
-			q := req.URL.Query()
-			step, err1 := strconv.ParseUint(q.Get("step"), 10, 64)
-			from, err2 := strconv.Atoi(q.Get("from"))
-			if err1 != nil || err2 != nil {
-				http.Error(w, "bad frame params", http.StatusBadRequest)
-				return
-			}
-			blob := make([]byte, 0, req.ContentLength)
-			buf := make([]byte, 32*1024)
-			for {
-				n, err := req.Body.Read(buf)
-				blob = append(blob, buf[:n]...)
-				if err != nil {
-					break
-				}
-			}
-			if err := reg.Deliver(q.Get("run"), step, from, blob); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		}))
-		urls[r] = srvs[r].URL
-	}
-	trs := make([]transport.Transport, peers)
-	for r := 0; r < peers; r++ {
-		tr, err := transport.NewHTTP(context.Background(), transport.HTTPConfig{
-			RunID:          "equiv",
-			Rank:           r,
-			PeerURLs:       urls,
-			Registry:       regs[r],
-			BarrierTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[r] = tr
-	}
-	return trs, func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-		for _, s := range srvs {
-			s.Close()
-		}
-	}
-}
-
 // TestTransportEquivalenceSimulated is the tentpole's proof obligation: for
 // every algorithm, graph, and worker count, the distributed run over the
 // simulated network — at several peer counts — produces bit-identical
@@ -246,48 +178,6 @@ func TestTransportEquivalenceSimulated(t *testing.T) {
 								name, r, outs[r].snap, ref.snap)
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestTransportEquivalenceLoopbackHTTP repeats the equivalence check over
-// the real HTTP transport on loopback — the same wire codec, frame
-// endpoint, and barrier collection a multi-daemon deployment uses. One
-// (graph, algo) per worker count keeps wall time in check; the simulated
-// suite covers the full matrix.
-func TestTransportEquivalenceLoopbackHTTP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback HTTP fleet is not short")
-	}
-	tg := equivGraphs()[0]
-	for _, algo := range equivAlgos {
-		for _, workers := range []int{1, 4, 8} {
-			peers := 2
-			if peers > workers {
-				peers = 1
-			}
-			name := fmt.Sprintf("%s/%s/P=%d/peers=%d", tg.name, algo, workers, peers)
-			ref := func() algoRun {
-				e := bsp.New(workers)
-				defer e.Close()
-				out, err := runAlgo(tg.g, algo, e)
-				if err != nil {
-					t.Fatalf("%s single-process: %v", name, err)
-				}
-				return out
-			}()
-			trs, cleanup := loopbackFleet(t, peers)
-			outs, errs := runFleet(t, tg.g, algo, workers, trs)
-			cleanup()
-			for r := range outs {
-				if errs[r] != nil {
-					t.Fatalf("%s: peer %d failed: %v", name, r, errs[r])
-				}
-				if outs[r] != ref {
-					t.Errorf("%s: peer %d diverged: %+v vs single-process %+v",
-						name, r, outs[r].snap, ref.snap)
 				}
 			}
 		}

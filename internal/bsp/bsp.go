@@ -109,12 +109,12 @@ type Engine struct {
 	dist     *distEngine // non-nil when workers span processes (see dist.go)
 }
 
-// Tracer receives wall-clock timings from an engine's supersteps and
-// transport exchanges. It exists so the observability layer can watch
-// the engine without this package importing it (any struct with these
-// methods satisfies it structurally). Implementations must be safe for
-// concurrent use; a nil tracer costs one branch per superstep, which is
-// what keeps the accounting benchmarks inside the regression gate.
+// Tracer receives wall-clock timings from an engine's supersteps. It
+// exists so the observability layer can watch the engine without this
+// package importing it (any type with this method satisfies it
+// structurally). Implementations must be safe for concurrent use; a nil
+// tracer costs one branch per superstep, which is what keeps the
+// accounting benchmarks inside the regression gate.
 //
 // Tracing measures wall-clock only — it never touches Metrics, so the
 // paper's rounds/messages/updates accounting stays bit-identical whether
@@ -124,13 +124,6 @@ type Tracer interface {
 	// busy time, barrier the extra time spent waiting for the slowest
 	// worker to reach the barrier.
 	ObserveSuperstep(compute, barrier time.Duration)
-	// ObserveComm reports one full transport exchange (mailbox delivery
-	// or collective) on a distributed engine.
-	ObserveComm(d time.Duration)
-	// ObserveAllreduce reports one scalar collective (global sums, ORs,
-	// argmins, snapshot cross-checks) — a subset of ObserveComm calls,
-	// timed separately because they bound the lockstep latency floor.
-	ObserveAllreduce(d time.Duration)
 }
 
 // SetTracer attaches t (nil detaches) and returns the engine for
@@ -139,9 +132,6 @@ type Tracer interface {
 // accumulate CriticalPath.
 func (e *Engine) SetTracer(t Tracer) *Engine {
 	e.tracer = t
-	if e.dist != nil {
-		e.dist.tracer = t
-	}
 	return e
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"graphdiam/internal/bsp/transport"
 )
@@ -35,9 +34,6 @@ type distEngine struct {
 	// err is the sticky first transport failure; once set, every subsequent
 	// engine operation no-ops and Err() reports it.
 	err error
-	// tracer mirrors Engine.tracer (set through SetTracer) so transport
-	// exchanges can be timed without a back-reference to the engine.
-	tracer Tracer
 }
 
 // splitRange returns the contiguous slice [lo, hi) of workers owned by peer
@@ -58,7 +54,7 @@ func splitRange(workers, peers, p int) (lo, hi int) {
 // transport's peers: this process executes only the contiguous worker range
 // owned by tr.Rank(), and the collective operations combine per-peer values
 // over the wire. workers must be >= tr.Peers() so every peer owns at least
-// one worker. The caller retains ownership of tr (Close it after the run).
+// one worker. The caller retains ownership of tr.
 func NewDistributed(workers int, tr transport.Transport) (*Engine, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("bsp: distributed engine needs an explicit worker count")
@@ -84,14 +80,6 @@ func NewDistributed(workers int, tr transport.Transport) (*Engine, error) {
 
 // Distributed reports whether the engine's workers span multiple processes.
 func (e *Engine) Distributed() bool { return e.dist != nil }
-
-// Rank returns this process's peer rank (0 for a single-process engine).
-func (e *Engine) Rank() int {
-	if e.dist == nil {
-		return 0
-	}
-	return e.dist.rank
-}
 
 // Primary reports whether this process meters fleet-level counters: true for
 // single-process engines and for peer rank 0. Counts that are computed
@@ -132,14 +120,7 @@ func (d *distEngine) netStep(out [][]byte) ([][]byte, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	var t0 time.Time
-	if d.tracer != nil {
-		t0 = time.Now()
-	}
 	in, err := d.tr.Step(d.step, out)
-	if d.tracer != nil {
-		d.tracer.ObserveComm(time.Since(t0))
-	}
 	d.step++
 	if err != nil {
 		d.err = err
@@ -171,14 +152,7 @@ func (d *distEngine) allgather(payload []byte) ([][]byte, error) {
 // allgatherFixed is allgather for fixed-size scalar payloads, validating
 // every peer sent exactly size bytes.
 func (d *distEngine) allgatherFixed(payload []byte, size int) ([][]byte, error) {
-	var t0 time.Time
-	if d.tracer != nil {
-		t0 = time.Now()
-	}
 	in, err := d.allgather(payload)
-	if d.tracer != nil {
-		d.tracer.ObserveAllreduce(time.Since(t0))
-	}
 	if err != nil {
 		return nil, err
 	}

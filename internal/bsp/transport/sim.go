@@ -55,8 +55,8 @@ func (p FaultPlan) maxAttempts() int {
 
 // SimNetwork is a deterministic in-memory exchange hub connecting the
 // simulated peers of one BSP run. Create one per run, hand each participant
-// goroutine its Peer(rank) transport, and drive the run exactly as with real
-// daemons. Fault injection is configured up front through the FaultPlan.
+// goroutine its Peer(rank) transport, and let each drive its own distributed
+// engine. Fault injection is configured up front through the FaultPlan.
 type SimNetwork struct {
 	peers   int
 	plan    FaultPlan
@@ -165,9 +165,8 @@ type simTransport struct {
 	rank int
 }
 
-func (t *simTransport) Rank() int    { return t.rank }
-func (t *simTransport) Peers() int   { return t.net.peers }
-func (t *simTransport) Close() error { return nil }
+func (t *simTransport) Rank() int  { return t.rank }
+func (t *simTransport) Peers() int { return t.net.peers }
 
 func (t *simTransport) Step(step uint64, out [][]byte) ([][]byte, error) {
 	n := t.net
@@ -228,9 +227,13 @@ func (t *simTransport) Step(step uint64, out [][]byte) ([][]byte, error) {
 	}
 	n.mu.Unlock()
 
+	// A stopped timer, not time.After: under go 1.22 an unfired After
+	// timer stays live until it fires, one per peer per superstep.
+	timer := time.NewTimer(n.timeout)
+	defer timer.Stop()
 	select {
 	case <-st.done:
-	case <-time.After(n.timeout):
+	case <-timer.C:
 		n.mu.Lock()
 		n.failStepLocked(st, Errorf(ErrBarrierTimeout, -1, step,
 			"barrier did not fill within %v (%d/%d peers arrived)",

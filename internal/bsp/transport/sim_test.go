@@ -159,7 +159,7 @@ func TestErrorClassificationString(t *testing.T) {
 	if terr.Kind != ErrUnreachable || terr.Peer != 2 || terr.Step != 17 {
 		t.Fatalf("fields lost: %+v", terr)
 	}
-	for _, k := range []ErrKind{ErrProtocol, ErrUnreachable, ErrBarrierTimeout, ErrPeerDown, ErrClosed} {
+	for _, k := range []ErrKind{ErrProtocol, ErrUnreachable, ErrBarrierTimeout, ErrPeerDown} {
 		if k.String() == "" || k.String() == "unknown" {
 			t.Errorf("kind %d has no name", k)
 		}

@@ -1,32 +1,26 @@
-// Package transport provides the wire fabric that lets a BSP computation
-// span processes: a small synchronous-exchange primitive (Step) that the
-// bsp package layers mailbox shipping, reductions, and state synchronization
-// on top of.
+// Package transport provides the exchange fabric that lets a BSP
+// computation's workers span peers: a small synchronous-exchange primitive
+// (Step) that the bsp package layers mailbox shipping, reductions, and
+// state synchronization on top of.
 //
 // The design keeps the paper's platform-independent accounting bit-identical
-// whether workers are goroutines or daemons: the transport moves opaque
-// byte blobs between peers at superstep barriers and never reorders,
-// duplicates, or drops data visibly — a delivery either arrives exactly once
-// (possibly after internal retries) or the whole step fails with a
-// classified *Error. Determinism of the computation is therefore entirely
-// the algorithm layer's concern; the transport only has to be exactly-once
-// per (step, sender) pair, which every implementation guarantees by keying
-// deliveries on that pair and treating re-sends as idempotent overwrites.
+// whether workers share one engine or are split across peers: the transport
+// moves opaque byte blobs between peers at superstep barriers and never
+// reorders, duplicates, or drops data visibly — a delivery either arrives
+// exactly once (possibly after internal retries) or the whole step fails
+// with a classified *Error. Determinism of the computation is therefore
+// entirely the algorithm layer's concern; the transport only has to be
+// exactly-once per (step, sender) pair.
 //
-// Implementations:
-//
-//   - SimNetwork: an in-memory hub for tests — deterministic, seeded fault
-//     injection (drops→retries, partitions, reordering, peer death) with no
-//     wall-clock dependence in the failure decisions.
-//   - HTTPTransport: the real thing — peers POST length-delimited frame
-//     blobs to each other's /v2/bsp/frames endpoint with retry/backoff and
-//     collect inbound frames from a Registry until the barrier is full.
+// The one implementation is SimNetwork, an in-memory hub whose peers are
+// goroutines of one process, with deterministic, seeded fault injection
+// (drops→retries, partitions, reordering, peer death) and no wall-clock
+// dependence in the failure decisions. It is how this repository
+// reproduces the paper's setting, where a round is expensive; no network
+// transport exists (see DESIGN.md, "Distributed BSP").
 package transport
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Transport is one peer's handle on the exchange fabric of a distributed
 // BSP run. A Transport is used by a single goroutine (the run's driver);
@@ -46,8 +40,6 @@ type Transport interface {
 	// guarantee by construction. A non-nil error is always a *Error and is
 	// terminal: the run cannot continue.
 	Step(step uint64, out [][]byte) (in [][]byte, err error)
-	// Close releases the peer's resources. Idempotent.
-	Close() error
 }
 
 // ErrKind classifies terminal transport failures so callers can distinguish
@@ -65,9 +57,6 @@ const (
 	ErrBarrierTimeout
 	// ErrPeerDown: a peer is known dead (crashed mid-run).
 	ErrPeerDown
-	// ErrClosed: the transport was closed (or its context cancelled) while
-	// a step was in flight.
-	ErrClosed
 )
 
 // String names the kind for logs and error text.
@@ -81,8 +70,6 @@ func (k ErrKind) String() string {
 		return "barrier-timeout"
 	case ErrPeerDown:
 		return "peer-down"
-	case ErrClosed:
-		return "closed"
 	}
 	return "unknown"
 }
@@ -107,8 +94,3 @@ func (e *Error) Error() string {
 	}
 	return fmt.Sprintf("transport: %s (step %d): %s", e.Kind, e.Step, e.Msg)
 }
-
-// DefaultBarrierTimeout bounds how long a peer waits at an exchange barrier
-// before declaring the fleet broken. Generous: a barrier closes as soon as
-// the slowest peer finishes one superstep of compute.
-const DefaultBarrierTimeout = 30 * time.Second

@@ -102,10 +102,11 @@ func (c *Clustering) Validate(g *graph.Graph) error {
 // for the algorithm outline and Options for the theory/practice knobs.
 //
 // The returned clustering is deterministic in (g, opts) — including across
-// engine worker counts. Cancellation of ctx is observed cooperatively at
-// superstep barriers: the run stops within one Δ-growing step and returns
-// ctx's error with a nil clustering. Progress snapshots, when requested via
-// Options.Progress, are emitted at stage boundaries.
+// engine worker counts, except for Metrics.Updates, which depends on the
+// worker count (see Options.Seed). Cancellation of ctx is observed
+// cooperatively at superstep barriers: the run stops within one Δ-growing
+// step and returns ctx's error with a nil clustering. Progress snapshots,
+// when requested via Options.Progress, are emitted at stage boundaries.
 func Cluster(ctx context.Context, g *graph.Graph, opts Options) (*Clustering, error) {
 	o := opts.withDefaults(g)
 	e := o.Engine.Bind(ctx)

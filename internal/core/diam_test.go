@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"graphdiam/internal/bsp"
+	"graphdiam/internal/cc"
 	"graphdiam/internal/gen"
 	"graphdiam/internal/graph"
 	"graphdiam/internal/rng"
@@ -142,7 +143,10 @@ func TestApproxDiameterDeterministic(t *testing.T) {
 	}
 }
 
-// Property: on random connected-ish graphs the estimate is conservative.
+// Property: the estimate is conservative on random connected-ish graphs,
+// and on the graph families the benchmarks run (road network, R-MAT largest
+// component, bimodal and unit meshes) at τ from 1 to n+1 (every node its
+// own center) and seeds 1–3.
 func TestApproxDiameterConservativeProperty(t *testing.T) {
 	check := func(seed uint64, tauRaw uint8) bool {
 		r := rng.New(seed)
@@ -154,6 +158,38 @@ func TestApproxDiameterConservativeProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+
+	families := []struct {
+		name  string
+		build func(r *rng.RNG) *graph.Graph
+	}{
+		{"road:24", func(r *rng.RNG) *graph.Graph {
+			return gen.RoadNetwork(gen.DefaultRoadNetworkOptions(24), r)
+		}},
+		{"rmat:9-lcc", func(r *rng.RNG) *graph.Graph {
+			lcc, _ := cc.LargestComponent(gen.RMatDefault(9, r.Split()))
+			return gen.UniformWeights(lcc, r.Split())
+		}},
+		{"bimodal-mesh:20", func(r *rng.RNG) *graph.Graph {
+			return gen.BimodalWeights(gen.Mesh(20), 1, 40, 0.12, r)
+		}},
+		{"mesh:12", func(*rng.RNG) *graph.Graph { return gen.Mesh(12) }},
+	}
+	e := bsp.New(2)
+	defer e.Close()
+	for _, f := range families {
+		for seed := uint64(1); seed <= 3; seed++ {
+			g := f.build(rng.New(seed))
+			exact := validate.ExactDiameter(g, e)
+			for _, tau := range []int{1, 4, 16, g.NumNodes() + 1} {
+				res := mustDiam(t, g, DiamOptions{Options: Options{Tau: tau, Seed: seed}})
+				if res.Estimate+1e-9 < exact {
+					t.Errorf("%s seed %d τ=%d: estimate %v below exact %v",
+						f.name, seed, tau, res.Estimate, exact)
+				}
+			}
+		}
 	}
 }
 

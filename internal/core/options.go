@@ -79,7 +79,10 @@ type Options struct {
 	StepCap int
 
 	// Seed drives all randomness. Runs are deterministic in
-	// (graph, Options) including across worker counts.
+	// (graph, Options) including across worker counts, except for the
+	// Updates counter of the metrics: it counts every improving candidate,
+	// and which candidates improve depends on their arrival order, which
+	// the worker count changes.
 	Seed uint64
 
 	// Engine supplies parallelism and metrics; nil creates a default. The

@@ -51,11 +51,6 @@ func (t *engineTracer) ObserveSuperstep(compute, barrier time.Duration) {
 	t.barrier.ObserveDuration(barrier)
 }
 
-// ObserveComm and ObserveAllreduce are no-ops: only a distributed engine
-// reports them, and the store runs every computation in process.
-func (t *engineTracer) ObserveComm(time.Duration)      {}
-func (t *engineTracer) ObserveAllreduce(time.Duration) {}
-
 // NewMetrics registers the graphdiam_store_* and graphdiam_bsp_* families
 // on r and returns the bundle to pass as Config.Metrics.
 func NewMetrics(r *obs.Registry) *Metrics {
