@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -303,5 +306,32 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	bad2.Center[0] = -1
 	if bad2.Validate(g) == nil {
 		t.Fatal("Validate missed an invalid center")
+	}
+}
+
+// TestClusterLightEdgeBoundary pins Cluster on a unit-weight mesh, where
+// d_u + w lands exactly on the growth threshold Δ: an edge with
+// d_u + w = Δ is light and must be relaxed in the stage (DESIGN.md,
+// "Virtual contraction"). Treating it as heavy changes the rounds and
+// messages; the golden graphs have non-integral weights and never hit the
+// boundary.
+func TestClusterLightEdgeBoundary(t *testing.T) {
+	e := bsp.New(2)
+	defer e.Close()
+	cl := mustCluster(t, gen.Mesh(12), Options{Tau: 8, Seed: 3, Engine: e})
+	h := sha256.New()
+	var buf [12]byte
+	for u := range cl.Center {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(cl.Center[u]))
+		binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(cl.Dist[u]))
+		h.Write(buf[:]) // a hash.Hash never returns an error
+	}
+	want := bsp.Snapshot{Rounds: 23, Messages: 449, Updates: 145}
+	if got := e.Metrics().Snapshot(); got != want {
+		t.Errorf("metrics %+v, want %+v", got, want)
+	}
+	const wantFP = "49971fa13b6670dc5f09a5327da456899402b90d7ebbaf9497455f148bc71360"
+	if fp := hex.EncodeToString(h.Sum(nil)); fp != wantFP {
+		t.Errorf("Center/Dist SHA-256 %s, want %s", fp, wantFP)
 	}
 }

@@ -40,7 +40,8 @@ func Dijkstra(g *graph.Graph, src graph.NodeID) []float64 {
 // which holds each node at most once and so never carries stale entries. The
 // diameter sweeps (quotient diameter, ExactDiameter, LowerBound) run one
 // full Dijkstra per source; without a scratch every source pays an O(n)
-// allocation pair plus cold caches. A Scratch must not be shared between
+// allocation pair plus cold caches. The zero value is ready to use and
+// allocates its buffers on first use. A Scratch must not be shared between
 // goroutines; sweeps allocate one per worker.
 type Scratch struct {
 	dist  []float64

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"graphdiam/internal/bsp"
-	"graphdiam/internal/cc"
 	"graphdiam/internal/gen"
 	"graphdiam/internal/graph"
 	"graphdiam/internal/rng"
@@ -28,6 +27,9 @@ func TestExactDiameterMatchesAllPairs(t *testing.T) {
 		"exp-weights":  gen.ExponentialWeights(gen.Mesh(10), 1, r.Split()),
 		"star":         gen.UniformWeights(gen.Star(80), r.Split()),
 		"cycle":        gen.UniformWeights(gen.Cycle(123), r.Split()),
+		"small-world":  smallWorld(24, 600, r.Split()),
+		"two-comps":    twoComponents(r.Split()),
+		"leaf-start":   leafStart(r.Split()),
 	}
 	for name, g := range graphs {
 		e := bsp.New(4)
@@ -38,6 +40,48 @@ func TestExactDiameterMatchesAllPairs(t *testing.T) {
 			t.Errorf("%s: bounding diameter %v != all-pairs %v", name, got, want)
 		}
 	}
+}
+
+// smallWorld is a road network of the given side plus shortcut random
+// edges weighing 1–4 times its average edge: the shape of a CL-DIAM
+// quotient after appends of random edges, where most nodes are about as
+// far from the center as the diameter endpoints are.
+func smallWorld(side, shortcuts int, r *rng.RNG) *graph.Graph {
+	road := gen.RoadNetwork(gen.DefaultRoadNetworkOptions(side), r.Split())
+	n := road.NumNodes()
+	b := graph.NewBuilder(n, road.NumEdges()+shortcuts)
+	road.ForEachEdge(func(u, v graph.NodeID, w float64) { b.AddEdge(u, v, w) })
+	avg := road.AvgEdgeWeight()
+	for i := 0; i < shortcuts; i++ {
+		b.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)), avg*(1+3*r.Float64()))
+	}
+	return b.Build()
+}
+
+// twoComponents is a weighted 6×6 mesh on nodes 0–35, four isolated
+// nodes, and a weighted path on the higher IDs 40–119: the component
+// visited last holds the diameter.
+func twoComponents(r *rng.RNG) *graph.Graph {
+	b := graph.NewBuilder(120, 0)
+	gen.UniformWeights(gen.Mesh(6), r.Split()).ForEachEdge(func(u, v graph.NodeID, w float64) { b.AddEdge(u, v, w) })
+	for i := 40; i < 119; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), r.Float64Open())
+	}
+	return b.Build()
+}
+
+// leafStart is a weighted 80-node path whose end node 0 also carries ten
+// pendant leaves, so the loop's start, the max-degree node, is a leaf of
+// the long path rather than a central node.
+func leafStart(r *rng.RNG) *graph.Graph {
+	b := graph.NewBuilder(90, 0)
+	for i := 0; i < 79; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), r.Float64Open())
+	}
+	for i := 80; i < 90; i++ {
+		b.AddEdge(0, graph.NodeID(i), r.Float64Open())
+	}
+	return b.Build()
 }
 
 // TestExactDiameterBoundsDisconnected: the convention is the largest
@@ -64,16 +108,21 @@ func TestExactDiameterBoundsDisconnected(t *testing.T) {
 // the result bit-identical across engine worker counts on the bounding
 // (large-n) path.
 func TestExactDiameterBoundsWorkerInvariance(t *testing.T) {
-	g := gen.BimodalWeights(gen.Mesh(16), 1e-6, 1, 0.25, rng.New(7))
-	var first float64
-	for i, w := range []int{1, 3, 8} {
-		e := bsp.New(w)
-		d := ExactDiameter(g, e)
-		e.Close()
-		if i == 0 {
-			first = d
-		} else if d != first {
-			t.Fatalf("workers=%d: diameter %v != %v at workers=1", w, d, first)
+	graphs := map[string]*graph.Graph{
+		"bimodal":     gen.BimodalWeights(gen.Mesh(16), 1e-6, 1, 0.25, rng.New(7)),
+		"small-world": smallWorld(24, 600, rng.New(7)),
+	}
+	for name, g := range graphs {
+		var first float64
+		for i, w := range []int{1, 3, 8} {
+			e := bsp.New(w)
+			d := ExactDiameter(g, e)
+			e.Close()
+			if i == 0 {
+				first = d
+			} else if math.Float64bits(d) != math.Float64bits(first) {
+				t.Fatalf("%s, workers=%d: diameter %v != %v at workers=1", name, w, d, first)
+			}
 		}
 	}
 }
@@ -82,10 +131,10 @@ func TestExactDiameterBoundsWorkerInvariance(t *testing.T) {
 // stops long before it converges, and what it returns must still be a
 // finite bound no smaller than the exact diameter. The disconnected case
 // has its longest component last, so the loop must give every component a
-// source before the bound is finite.
+// source before the bound is finite. The small-world graph and the
+// weighted cycle need several batches of sources to converge.
 func TestDiameterUpperBoundForcedBudget(t *testing.T) {
 	r := rng.New(36)
-	lcc, _ := cc.LargestComponent(gen.RMatDefault(9, r.Split()))
 	b := graph.NewBuilder(120, 0)
 	for _, p := range [][2]int{{0, 30}, {30, 50}, {50, 120}} {
 		for i := p[0]; i < p[1]-1; i++ {
@@ -97,8 +146,8 @@ func TestDiameterUpperBoundForcedBudget(t *testing.T) {
 		g    *graph.Graph
 	}{
 		{"road", gen.RoadNetwork(gen.DefaultRoadNetworkOptions(16), r.Split())},
-		{"rmat-lcc", gen.UniformWeights(lcc, r.Split())},
-		{"bimodal", gen.BimodalWeights(gen.Mesh(16), 1e-6, 1, 0.25, r.Split())},
+		{"small-world", smallWorld(24, 600, r.Split())},
+		{"cycle", gen.UniformWeights(gen.Cycle(200), r.Split())},
 		{"disconnected", b.Build()},
 	}
 	e := bsp.New(4)
@@ -122,7 +171,7 @@ func TestDiameterUpperBoundForcedBudget(t *testing.T) {
 // loop ends at the first batch instead of picking batch after batch of
 // sources whose Dijkstras the engine skips.
 func TestExactDiameterStopsWhenCancelled(t *testing.T) {
-	g := gen.UniformWeights(gen.Mesh(20), rng.New(7))
+	g := smallWorld(24, 600, rng.New(7))
 	e := bsp.New(2)
 	defer e.Close()
 	if _, need := boundDiameter(g, e, g.NumNodes()); need <= 2*exactBatch {

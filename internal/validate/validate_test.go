@@ -137,6 +137,22 @@ func BenchmarkExactDiameterMesh24(b *testing.B) {
 	}
 }
 
+// BenchmarkExactDiameterSmallWorld times the bounding loop on a 40×40
+// road network with 1500 shortcut edges, the shape of a quotient after
+// appends, on a 2-worker engine, and reports how many Dijkstra sources
+// the loop runs.
+func BenchmarkExactDiameterSmallWorld(b *testing.B) {
+	g := smallWorld(40, 1500, rng.New(11))
+	e := bsp.New(2)
+	defer e.Close()
+	sources := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, sources = boundDiameter(g, e, g.NumNodes())
+	}
+	b.ReportMetric(float64(sources), "sources")
+}
+
 func BenchmarkLowerBound4Sweeps(b *testing.B) {
 	g := gen.UniformWeights(gen.Mesh(48), rng.New(1))
 	b.ResetTimer()
